@@ -1,19 +1,23 @@
 """Named catalog of the mock theta functions and their series variants.
 
-Every function is registered once with its defining sum and, for the starred
-(|q|>1 continued) variant, the character expansion plus whatever rewritings
-exist: terminating forms, double-sum surgery forms, phase-carrying forms.
+Every variant of a function is one declarative spec: a ``ProductSum`` (a sum
+of monomials times a running product of linear factors) or a ``DoubleSum``
+(a Gaussian-binomial double sum), both from ``series``.  The formal engine
+expands a spec to any truncation, and the root engines below evaluate the
+same spec at roots of unity, so each series form is written down once.  The
+``false_theta`` variant is derived from the registered character expansion.
 All variants of one id agree coefficient-by-coefficient at any common
 truncation; the identity registry in ``identities`` turns that statement into
 runnable checks.
 
-The second half of the module evaluates starred functions at roots of unity
-by several independent routes:
+Starred functions are evaluated at roots of unity by several independent
+routes:
 
 * ``eichler``  - the exact radial (Abel) limit through the finite
   Bernoulli-weighted character sum;
-* ``qseries``  - exact evaluation of a q-series form at the root: terminating
-  sums, geometrically collapsing sums, or group-terminating double sums.
+* ``qseries``  - exact evaluation of one registered spec at the root: a
+  spec with numerator factors as a terminating sum, one without as a
+  geometrically collapsing sum, a double sum by group termination.
   The Le-type rewritings of the order-5 functions and the double-sum form of
   the order-7 function evaluate at roots to exactly half the radial limit
   (their tails contribute a second copy in the limit); the published factor
@@ -36,69 +40,32 @@ from .cyclo import CycloNumber, _context
 from .errors import (DivergenceError, DomainError, UnknownIdError,
                      UnsupportedMethodError)
 from .report import VerificationReport
-from .series import (Monomial, QSeries, pochhammer, pochhammer_inverse,
-                     q_binomial_rows, series_inverse, substitute_sign)
+from .series import (DoubleSum, Monomial, ProductSum, QSeries, coeff_pow, pochhammer,
+                     pochhammer_inverse)
 
 
-def _zeta_in(order: int, power: int) -> CycloNumber:
-    """Root of unity kept at the stated field order (no gcd reduction)."""
-    ctx = _context(order)
-    return CycloNumber(order, ctx.power(power % order), 1)
-
-
-# phase constants of the order-3 phase-carrying functions, fixed inside the
-# 12th cyclotomic field
-_E_2PI3 = _zeta_in(12, 4)    # e^(2 pi i/3)
-_E_PI3 = _zeta_in(12, 2)     # e^(pi i/3)
-_E_M2PI3 = _zeta_in(12, 8)   # e^(-2 pi i/3)
-_E_MPI3 = _zeta_in(12, 10)   # e^(-pi i/3)
-
-
-def _mono(power, coeff=1) -> Monomial:
-    return Monomial.q(Fraction(power), coeff)
-
-
-def _geom_inv(e: int, t: int, coeff=1) -> QSeries:
-    """1/(1 - coeff q^e) truncated at t (integer exponents)."""
-    if e <= 0:
-        raise DomainError("geometric factor needs a positive exponent")
-    out: dict = {}
-    j, c = 0, 1
-    while j * e < t:
-        if c:
-            out[j * e] = c
-        c = c * coeff
-        j += 1
-    k = coeff.order if isinstance(coeff, CycloNumber) else 1
-    return QSeries.make(1, t, out, k)
-
-
-def _lin_factor(e: int, t: int, coeff=1) -> QSeries:
-    """(1 - coeff q^e) truncated at t."""
-    out = {0: 1}
-    if e < t and coeff:
-        out[e] = -coeff
-    k = coeff.order if isinstance(coeff, CycloNumber) else 1
-    return QSeries.make(1, t, out, k)
-
-
-@dataclass
+@dataclass(frozen=True)
 class NamedFunction:
     id: str
     order_label: str
-    variants: dict = field(default_factory=dict)  # name -> callable(T) -> QSeries
-    coefficient_field_order: int = 1
+    # name -> ProductSum, DoubleSum or callable(T) -> QSeries
+    variants: dict = field(default_factory=dict)
     # character expansion data (starred functions): (character id, D, shift)
     character: Optional[tuple[str, int, int]] = None
+    # overall factor in front of the character expansion
+    weight: int = 1
+    # (variant, scale) of the exact q-series route: radial limit = scale * value
+    qseries: Optional[tuple[str, int]] = None
 
     def generator(self, variant: Optional[str] = None) -> Callable[[int], QSeries]:
         name = variant or "defining"
         try:
-            return self.variants[name]
+            spec = self.variants[name]
         except KeyError:
             raise UnknownIdError(
                 f"function {self.id!r} has no variant {name!r} "
                 f"(has: {', '.join(sorted(self.variants))})") from None
+        return spec.series if isinstance(spec, (ProductSum, DoubleSum)) else spec
 
 
 _functions: dict[str, NamedFunction] = {}
@@ -128,240 +95,108 @@ def expand(fn_id: str, truncation: int, variant: Optional[str] = None) -> QSerie
 
 
 # ---------------------------------------------------------------------------
-# Formal generators
+# Series specs
 # ---------------------------------------------------------------------------
 
-def _sum_terms(t: int, lead: Callable[[int], int], term: Callable[[int, int], QSeries],
-               start: int = 0, base=None) -> QSeries:
-    """sum_(n>=start) term(n, t) while lead(n) < t."""
-    total = QSeries.zero(1, t) if base is None else base
-    n = start
-    while lead(n) < t:
-        total = total + term(n, t)
-        n += 1
-    return total
+def _alt(n: int) -> int:
+    return -1 if n % 2 else 1
 
 
-def _chi0(t):
-    return _sum_terms(t, lambda n: n, lambda n, T: pochhammer_inverse(
-        _mono(n + 1), 1, n, T).shift(_mono(n)).truncate(T))
+def _neg_alt(n: int) -> int:
+    return 1 if n % 2 else -1
 
 
-def _chi1(t):
-    return _sum_terms(t, lambda n: n, lambda n, T: pochhammer_inverse(
-        _mono(n + 1), 1, n + 1, T).shift(_mono(n)).truncate(T))
+def _z12(k: int) -> CycloNumber:
+    """zeta_12^k kept in the 12th cyclotomic field (no reduction of the order):
+    the phase e^(pi i/3) is zeta_12^2."""
+    return CycloNumber(12, _context(12).power(k % 12), 1)
 
 
-def _chi0_star(t):
-    def term(n, T):
-        s = pochhammer_inverse(_mono(n + 1), 1, n, T)
-        return s.shift(_mono(Fraction(3 * n * n - n, 2), -1 if n % 2 else 1)).truncate(T)
-    return QSeries.constant(2, 1, t) - _sum_terms(t, lambda n: (3 * n * n - n) // 2, term)
+# Factors entering the running product at step n, as (e, c, s) for
+# (1 - c q^e)^s.  Each family is named after the product R_n it builds.
+
+def _inv_qn1_n(n):        # 1/(q^(n+1); q)_n
+    return [(n, 1, 1), (2 * n - 1, 1, -1), (2 * n, 1, -1)] if n else []
 
 
-def _chi1_star(t):
-    def term(n, T):
-        s = pochhammer_inverse(_mono(n + 1), 1, n + 1, T)
-        return s.shift(_mono(Fraction(3 * n * (n + 1), 2), -1 if n % 2 else 1)).truncate(T)
-    return _sum_terms(t, lambda n: 3 * n * (n + 1) // 2, term)
+def _inv_qn1_n1(n):       # 1/(q^(n+1); q)_(n+1)
+    return [(n, 1, 1), (2 * n, 1, -1), (2 * n + 1, 1, -1)] if n else [(1, 1, -1)]
 
 
-def _false_theta(char_id: str, denom: int, shift: int):
+def _inv_qn_n(n):         # 1/(q^n; q)_n, from n = 1
+    return [(n - 1, 1, 1), (2 * n - 2, 1, -1), (2 * n - 1, 1, -1)] if n > 1 else [(1, 1, -1)]
+
+
+def _qn1_n(n):            # (q^(n+1); q)_n
+    return [(2 * n - 1, 1, 1), (2 * n, 1, 1), (n, 1, -1)] if n else []
+
+
+def _qn_n(n):             # (q^n; q)_n
+    if n < 2:
+        return [(1, 1, 1)] if n else []
+    return [(2 * n - 2, 1, 1), (2 * n - 1, 1, 1), (n - 1, 1, -1)]
+
+
+def _inv_q_q2(n):         # 1/(q; q^2)_(n+1)
+    return [(2 * n + 1, 1, -1)]
+
+
+def _inv_mq_q2(n):        # 1/(-q; q^2)_(n+1)
+    return [(2 * n + 1, -1, -1)]
+
+
+def _inv_mq2_q2(n):       # 1/(-q^2; q^2)_n
+    return [(2 * n, -1, -1)] if n else []
+
+
+def _inv_mq_2n(n):        # 1/(-q; q)_(2n)
+    return [(2 * n - 1, -1, -1), (2 * n, -1, -1)] if n else []
+
+
+def _inv_mq_2n1(n):       # 1/(-q; q)_(2n+1)
+    return [(2 * n, -1, -1), (2 * n + 1, -1, -1)] if n else [(1, -1, -1)]
+
+
+def _inv_mq_n(n):         # 1/(-q; q)_n
+    return [(n, -1, -1)] if n else []
+
+
+def _mq_n(n):             # (-q; q)_n
+    return [(n, -1, 1)] if n else []
+
+
+def _q_q2(n):             # (q; q^2)_n
+    return [(2 * n - 1, 1, 1)] if n else []
+
+
+def _mq_q2(n):            # (-q; q^2)_n
+    return [(2 * n - 1, -1, 1)] if n else []
+
+
+def _mq2_q2(n):           # (-q^2; q^2)_n
+    return [(2 * n, -1, 1)] if n else []
+
+
+def _times(*families):
+    return lambda n: [f for family in families for f in family(n)]
+
+
+def _sq(family):
+    return _times(family, family)
+
+
+_phi6_run = _times(_q_q2, _inv_mq_2n)
+_psi6_run = _times(_q_q2, _inv_mq_2n1)
+_rho6_run = _times(_mq_n, _inv_q_q2)
+_D6_run = _times(_mq2_q2, _inv_qn1_n1)
+_I12_run = _times(_mq_q2, _inv_qn1_n1)
+
+
+def _false_theta(char_id: str, denom: int, shift: int, weight: int):
     def gen(t):
-        return chars.eichler_tilde_series(chars.get_character(char_id), denom, shift, t * denom)
+        s = chars.eichler_tilde_series(chars.get_character(char_id), denom, shift, t * denom)
+        return s * weight if weight != 1 else s
     return gen
-
-
-def _chi0_star_le_product(t):
-    return _sum_terms(
-        t, lambda m: 2 * m + 1,
-        lambda m, T: pochhammer(_mono(m + 1), 1, m, T).shift(_mono(2 * m + 1)).truncate(T),
-        base=QSeries.one(1, t))
-
-
-def _chi0_star_le_sum(t):
-    return _sum_terms(t, lambda n: n, lambda n, T: pochhammer(
-        _mono(n) if n else _mono(0, 0), 1, n, T).shift(_mono(n)).truncate(T))
-
-
-def _chi1_star_le(t):
-    return _sum_terms(t, lambda n: n, lambda n, T: pochhammer(
-        _mono(n + 1), 1, n, T).shift(_mono(n)).truncate(T))
-
-
-def _double_sum(t: int, kmin_exp: Callable[[int], int], exponent: Callable[[int, int], int],
-                sign_of_n: bool = True, step: int = 1, scale: int = 1,
-                constant: int = 1, outer_sign: int = 1) -> QSeries:
-    """constant + outer_sign * sum_(k>=n>=0) (-1)^n [k n]_(q^step) q^(exponent(k,n)),
-    accumulated on raw dicts for speed."""
-    total = {0: constant} if constant else {}
-    rows = q_binomial_rows(t, step)
-    row = next(rows)
-    k = 0
-    while kmin_exp(k) < t:
-        for n in range(0, k + 1):
-            e0 = exponent(k, n)
-            if e0 >= t:
-                continue
-            sgn = outer_sign * (-1 if (n % 2 and sign_of_n) else 1)
-            for e, c in row[n].items():
-                ee = e0 + e
-                if ee < t:
-                    s = total.get(ee, 0) + sgn * c
-                    if s:
-                        total[ee] = s
-                    else:
-                        total.pop(ee, None)
-        k += 1
-        row = next(rows)
-    return QSeries.make(1, t, total)
-
-
-def _chi0_star_surgery(t):
-    return _double_sum(t, lambda k: k * (k + 1) + 1,
-                       lambda k, n: k * (k + 1) + n * (3 * n + 5) // 2 + k * n + 1)
-
-
-def _phi3_star_surgery(t):
-    return _double_sum(t, lambda k: k * k + 1,
-                       lambda k, n: n * (2 * n + 3) + k * k + 1, step=2)
-
-
-def _F0_star_double(t):
-    return _double_sum(t, lambda k: 2 * k + 1,
-                       lambda k, n: (n + 2) * k - n * (n + 1) // 2 + 1, outer_sign=-1)
-
-
-def _F0_star_surgery(t):
-    return _double_sum(t, lambda k: (k + 1) ** 2 + k,
-                       lambda k, n: k + n * (n - 1) // 2 + (k + n + 1) ** 2, outer_sign=-1)
-
-
-def _phi3(t):
-    return _sum_terms(t, lambda n: n * n, lambda n, T: pochhammer_inverse(
-        _mono(2, -1), 2, n, T).shift(_mono(n * n)).truncate(T))
-
-
-def _phi3_star(t):
-    total = QSeries.zero(1, t)
-    inv = QSeries.one(1, t)
-    for n in range(t):
-        if n:
-            inv = inv * _geom_inv(2 * n, t, -1)
-        total = total + inv.shift(_mono(n)).truncate(t)
-    return total
-
-
-def _phi3_star_finite(t):
-    total = QSeries.one(1, t)
-    num = QSeries.one(1, t)
-    for n in range(t):
-        if n:
-            num = num * _lin_factor(n, t, 1 if n % 2 else -1)
-        total = total + num.shift(_mono(n + 1)).truncate(t)
-    return total
-
-
-def _nu3(t):
-    return _sum_terms(t, lambda n: n * (n + 1), lambda n, T: pochhammer_inverse(
-        _mono(1, -1), 2, n + 1, T).shift(_mono(n * (n + 1))).truncate(T))
-
-
-def _nu3_star(t):
-    total = QSeries.zero(1, t)
-    inv = _geom_inv(1, t, -1)
-    for n in range(t):
-        if n:
-            inv = inv * _geom_inv(2 * n + 1, t, -1)
-        total = total + inv.shift(_mono(n)).truncate(t)
-    return total
-
-
-def _nu3_star_finite(t):
-    return _sum_terms(t, lambda n: 2 * n, lambda n, T: pochhammer(
-        _mono(2), 4, n, T).shift(_mono(2 * n)).truncate(T))
-
-
-def _f3(t):
-    def term(n, T):
-        inv = pochhammer_inverse(_mono(1, -1), 1, n, T)
-        return (inv * inv).shift(_mono(n * n)).truncate(T)
-    return _sum_terms(t, lambda n: n * n, term)
-
-
-def _f3_fine(t):
-    total = QSeries.constant(2, 1, t)
-    inv = QSeries.one(1, t)
-    for n in range(t):
-        if n:
-            inv = inv * _geom_inv(n, t, -1)
-        total = total - inv.shift(_mono(n, -1 if n % 2 else 1)).truncate(t)
-    return total
-
-
-def _f3_star(t):
-    return QSeries.constant(2, 1, t) - _sum_terms(
-        t, lambda n: n * (n - 1) // 2,
-        lambda n, T: pochhammer_inverse(_mono(1, -1), 1, n, T).shift(
-            _mono(Fraction(n * (n - 1), 2), -1 if n % 2 else 1)).truncate(T))
-
-
-def _f3_star_false(t):
-    return chars.eichler_tilde_series(chars.get_character("psi6_1"), 24, -1, 24 * t) * 2
-
-
-def _omega3(t):
-    def term(n, T):
-        inv = pochhammer_inverse(_mono(1), 2, n + 1, T)
-        return (inv * inv).shift(_mono(2 * n * (n + 1))).truncate(T)
-    return _sum_terms(t, lambda n: 2 * n * (n + 1), term)
-
-
-def _omega3_fine(t):
-    total = QSeries.zero(1, t)
-    inv = _geom_inv(1, t)
-    for n in range(t):
-        if n:
-            inv = inv * _geom_inv(2 * n + 1, t)
-        total = total + inv.shift(_mono(n)).truncate(t)
-    return total
-
-
-def _omega3_star(t):
-    return _sum_terms(t, lambda n: n * (n + 1), lambda n, T: pochhammer_inverse(
-        _mono(1), 2, n + 1, T).shift(_mono(n * (n + 1), -1 if n % 2 else 1)).truncate(T))
-
-
-def _chi3(t):
-    total = QSeries.zero(1, t)
-    prod = QSeries.one(1, t)
-    n = 0
-    while n * n < t:
-        if n > 0:
-            factor = QSeries.make(1, t, {e: c for e, c in ((0, 1), (n, -1), (2 * n, 1))
-                                         if e < t})
-            prod = prod * series_inverse(factor)
-        total = total + prod.shift(_mono(n * n)).truncate(t)
-        n += 1
-    return total
-
-
-def _chi3_fine(t):
-    total = QSeries.constant(CycloNumber.one(12), 1, t)
-    inv = QSeries.one(1, t)
-    for n in range(1, t):
-        inv = inv * _geom_inv(n, t, -_E_2PI3)
-        phase = _E_2PI3 * _coeff_root_pow(_E_PI3, n)
-        total = total + inv.shift(Monomial(-phase, n, 1)).truncate(t)
-    return total
-
-
-def _chi3_star(t):
-    def term(n, T):
-        inv = pochhammer_inverse(Monomial(_E_PI3, 1, 1), 1, n, T)
-        phase = _E_2PI3 * _coeff_root_pow(_E_MPI3, n)
-        return inv.shift(Monomial(-phase, n * (n - 1) // 2, 1)).truncate(T)
-    return QSeries.constant(1, 1, t) + _sum_terms(t, lambda n: n * (n - 1) // 2, term, start=1)
 
 
 def _chi3_star_false(t):
@@ -371,41 +206,11 @@ def _chi3_star_false(t):
     while n * n - 1 < 24 * t:
         c = chi(n)
         if c:
-            val = (1 + _coeff_root_pow(_E_M2PI3, n)) * c
+            val = (1 + _z12(-4 * n)) * c
             if val:
                 coeffs[n * n - 1] = val
         n += 1
     return QSeries.make(24, 24 * t, coeffs, 12)
-
-
-def _rho3(t):
-    total = QSeries.zero(1, t)
-    prod = QSeries.one(1, t)
-    n = 0
-    while 2 * n * (n + 1) < t:
-        e = 2 * n + 1
-        factor = QSeries.make(1, t, {x: c for x, c in ((0, 1), (e, 1), (2 * e, 1)) if x < t})
-        prod = prod * series_inverse(factor)
-        total = total + prod.shift(_mono(2 * n * (n + 1))).truncate(t)
-        n += 1
-    return total
-
-
-def _rho3_fine(t):
-    total = QSeries.zero(1, t)
-    inv = _geom_inv(1, t, _E_2PI3)
-    for n in range(t):
-        if n:
-            inv = inv * _geom_inv(2 * n + 1, t, _E_2PI3)
-        total = total + inv.shift(Monomial(_coeff_root_pow(_E_M2PI3, n), n, 1)).truncate(t)
-    return total
-
-
-def _rho3_star(t):
-    def term(n, T):
-        inv = pochhammer_inverse(Monomial(_E_M2PI3, 1, 1), 2, n + 1, T)
-        return inv.shift(Monomial(_coeff_root_pow(_E_MPI3, n), n * (n + 1), 1)).truncate(T)
-    return _sum_terms(t, lambda n: n * (n + 1), term)
 
 
 def _rho3_star_false(t):
@@ -415,341 +220,128 @@ def _rho3_star_false(t):
     while n * n - 1 < 3 * t:
         c = chi(n)
         if c:
-            val = _coeff_root_pow(_E_2PI3, 1 - n) * c
-            if val:
-                coeffs[n * n - 1] = val
+            coeffs[n * n - 1] = _z12(4 - 4 * n) * c
         n += 1
     return QSeries.make(3, 3 * t, coeffs, 12)
 
 
-def _coeff_root_pow(z: CycloNumber, k: int) -> CycloNumber:
-    k %= 12
-    out = _zeta_in(12, 0)
-    for _ in range(k):
-        out = out * z
-    return out
-
-
-def _F0(t):
-    return _sum_terms(t, lambda n: n * n, lambda n, T: pochhammer_inverse(
-        _mono(n + 1), 1, n, T).shift(_mono(n * n)).truncate(T))
-
-
-def _F0_star(t):
-    return _sum_terms(t, lambda n: n * (n + 1) // 2, lambda n, T: pochhammer_inverse(
-        _mono(n + 1), 1, n, T).shift(
-            _mono(Fraction(n * (n + 1), 2), -1 if n % 2 else 1)).truncate(T))
-
-
-def _F1(t):
-    return _sum_terms(t, lambda n: n * n, lambda n, T: pochhammer_inverse(
-        _mono(n), 1, n, T).shift(_mono(n * n)).truncate(T), start=1)
-
-
-def _F1_star(t):
-    return _sum_terms(t, lambda n: n * (n - 1) // 2, lambda n, T: pochhammer_inverse(
-        _mono(n), 1, n, T).shift(
-            _mono(Fraction(n * (n - 1), 2), -1 if n % 2 else 1)).truncate(T), start=1)
-
-
-def _F2(t):
-    return _sum_terms(t, lambda n: n * (n + 1), lambda n, T: pochhammer_inverse(
-        _mono(n + 1), 1, n + 1, T).shift(_mono(n * (n + 1))).truncate(T))
-
-
-def _F2_star(t):
-    return -_sum_terms(t, lambda n: n * (n + 3) // 2, lambda n, T: pochhammer_inverse(
-        _mono(n + 1), 1, n + 1, T).shift(
-            _mono(Fraction(n * (n + 3), 2), -1 if n % 2 else 1)).truncate(T))
-
-
-def _phi6(t):
-    def term(n, T):
-        s = pochhammer(_mono(1), 2, n, T) * pochhammer_inverse(_mono(1, -1), 1, 2 * n, T)
-        return s.shift(_mono(n * n, -1 if n % 2 else 1)).truncate(T)
-    return _sum_terms(t, lambda n: n * n, term)
-
-
-def _phi6_star(t):
-    total = QSeries.zero(1, t)
-    run = QSeries.one(1, t)
-    for n in range(t):
-        if n:
-            run = run * _lin_factor(2 * n - 1, t) * _geom_inv(2 * n - 1, t, -1) \
-                * _geom_inv(2 * n, t, -1)
-        total = total + run.shift(_mono(n)).truncate(t)
-    return total
-
-
-def _psi6(t):
-    def term(n, T):
-        s = pochhammer(_mono(1), 2, n, T) * pochhammer_inverse(_mono(1, -1), 1, 2 * n + 1, T)
-        return s.shift(_mono((n + 1) ** 2, -1 if n % 2 else 1)).truncate(T)
-    return _sum_terms(t, lambda n: (n + 1) ** 2, term)
-
-
-def _psi6_star(t):
-    total = QSeries.zero(1, t)
-    run = _geom_inv(1, t, -1)
-    for n in range(t):
-        if n:
-            run = run * _lin_factor(2 * n - 1, t) * _geom_inv(2 * n, t, -1) \
-                * _geom_inv(2 * n + 1, t, -1)
-        total = total + run.shift(_mono(n)).truncate(t)
-    return total
-
-
-def _rho6(t):
-    def term(n, T):
-        s = pochhammer(_mono(1, -1), 1, n, T) * pochhammer_inverse(_mono(1), 2, n + 1, T)
-        return s.shift(_mono(Fraction(n * (n + 1), 2))).truncate(T)
-    return _sum_terms(t, lambda n: n * (n + 1) // 2, term)
-
-
-def _rho6_star(t):
-    total = QSeries.zero(1, t)
-    run = _geom_inv(1, t)
-    for n in range(t):
-        if n:
-            run = run * _lin_factor(n, t, -1) * _geom_inv(2 * n + 1, t)
-        total = total + run.shift(_mono(n, -1 if n % 2 else 1)).truncate(t)
-    return total
-
-
-def _Phi10(t):
-    return _sum_terms(t, lambda n: n * (n + 1) // 2, lambda n, T: pochhammer_inverse(
-        _mono(1), 2, n + 1, T).shift(_mono(Fraction(n * (n + 1), 2))).truncate(T))
-
-
-def _Phi10_star(t):
-    return _sum_terms(t, lambda n: n * (n + 3) // 2, lambda n, T: pochhammer_inverse(
-        _mono(1), 2, n + 1, T).shift(
-            _mono(Fraction(n * (n + 3), 2), -1 if n % 2 else 1)).truncate(T))
-
-
-def _Psi10(t):
-    return _sum_terms(t, lambda n: (n + 1) * (n + 2) // 2, lambda n, T: pochhammer_inverse(
-        _mono(1), 2, n + 1, T).shift(_mono(Fraction((n + 1) * (n + 2), 2))).truncate(T))
-
-
-def _Psi10_star(t):
-    return _sum_terms(t, lambda n: n * (n + 1) // 2, lambda n, T: pochhammer_inverse(
-        _mono(1), 2, n + 1, T).shift(
-            _mono(Fraction(n * (n + 1), 2), -1 if n % 2 else 1)).truncate(T))
-
-
-def _X10(t):
-    return _sum_terms(t, lambda n: n * n, lambda n, T: pochhammer_inverse(
-        _mono(1, -1), 1, 2 * n, T).shift(_mono(n * n, -1 if n % 2 else 1)).truncate(T))
-
-
-def _X10_star(t):
-    return _sum_terms(t, lambda n: n * (n + 1), lambda n, T: pochhammer_inverse(
-        _mono(1, -1), 1, 2 * n, T).shift(_mono(n * (n + 1), -1 if n % 2 else 1)).truncate(T))
-
-
-def _chi10(t):
-    return _sum_terms(t, lambda n: (n + 1) ** 2, lambda n, T: pochhammer_inverse(
-        _mono(1, -1), 1, 2 * n + 1, T).shift(_mono((n + 1) ** 2, -1 if n % 2 else 1)).truncate(T))
-
-
-def _chi10_star(t):
-    return _sum_terms(t, lambda n: n * (n + 1), lambda n, T: pochhammer_inverse(
-        _mono(1, -1), 1, 2 * n + 1, T).shift(_mono(n * (n + 1), -1 if n % 2 else 1)).truncate(T))
-
-
-def _D5(t):
-    def term(n, T):
-        s = pochhammer(_mono(1, -1), 1, n, T) * pochhammer_inverse(_mono(1), 2, n + 1, T)
-        return s.shift(_mono(n)).truncate(T)
-    return _sum_terms(t, lambda n: n, term)
-
-
-def _D5_star(t):
-    def term(n, T):
-        s = pochhammer(_mono(1, -1), 1, n, T) * pochhammer_inverse(_mono(1), 2, n + 1, T)
-        return s.shift(_mono(Fraction(n * (n + 1), 2), -1 if n % 2 else 1)).truncate(T)
-    return _sum_terms(t, lambda n: n * (n + 1) // 2, term)
-
-
-def _D6(t):
-    def term(n, T):
-        s = pochhammer(_mono(2, -1), 2, n, T) * pochhammer_inverse(_mono(n + 1), 1, n + 1, T)
-        return s.shift(_mono(n)).truncate(T)
-    return _sum_terms(t, lambda n: n, term)
-
-
-def _D6_star(t):
-    def term(n, T):
-        s = pochhammer(_mono(2, -1), 2, n, T) * pochhammer_inverse(_mono(n + 1), 1, n + 1, T)
-        return s.shift(_mono(Fraction(n * (n + 1), 2), -1 if n % 2 else 1)).truncate(T)
-    return _sum_terms(t, lambda n: n * (n + 1) // 2, term)
-
-
-def _I12(t):
-    def term(n, T):
-        s = pochhammer(_mono(1, -1), 2, n, T) * pochhammer_inverse(_mono(n + 1), 1, n + 1, T)
-        return s.shift(_mono(2 * n)).truncate(T)
-    return _sum_terms(t, lambda n: 2 * n, term)
-
-
-def _I12_star(t):
-    def term(n, T):
-        s = pochhammer(_mono(1, -1), 2, n, T) * pochhammer_inverse(_mono(n + 1), 1, n + 1, T)
-        return s.shift(_mono(Fraction(n * (n + 1), 2), -1 if n % 2 else 1)).truncate(T)
-    return _sum_terms(t, lambda n: n * (n + 1) // 2, term)
-
-
-def _I13(t):
-    def term(n, T):
-        s = pochhammer(_mono(1, -1), 2, n, T) * pochhammer_inverse(_mono(n + 1), 1, n + 1, T)
-        return s.shift(_mono(n)).truncate(T)
-    return _sum_terms(t, lambda n: n, term)
-
-
-def _I13_star(t):
-    def term(n, T):
-        s = pochhammer(_mono(1, -1), 2, n, T) * pochhammer_inverse(_mono(n + 1), 1, n + 1, T)
-        return s.shift(_mono(Fraction(n * (n + 3), 2), -1 if n % 2 else 1)).truncate(T)
-    return _sum_terms(t, lambda n: n * (n + 3) // 2, term)
-
-
-def _phi3_star_minus(t):
-    return substitute_sign(_phi3_star(t))
+def _fn(fn_id: str, order_label: str, character=None, weight: int = 1, qseries=None,
+        **variants):
+    if character is not None:
+        variants.setdefault("false_theta", _false_theta(*character, weight))
+    register_function(NamedFunction(fn_id, order_label, variants, character, weight,
+                                    qseries))
 
 
 def _build_functions():
-    reg = register_function
-    reg(NamedFunction("chi0", "5", {"defining": _chi0}))
-    reg(NamedFunction("chi1", "5", {"defining": _chi1}))
-    reg(NamedFunction("chi0_star", "5", {
-        "defining": _chi0_star,
-        "false_theta": _false_theta("chi60_111", 120, -1),
-        "le_product": _chi0_star_le_product,
-        "le_sum": _chi0_star_le_sum,
-        "surgery": _chi0_star_surgery,
-    }, character=("chi60_111", 120, -1)))
-    reg(NamedFunction("chi1_star", "5", {
-        "defining": _chi1_star,
-        "false_theta": _false_theta("chi60_112", 120, -49),
-        "le": _chi1_star_le,
-    }, character=("chi60_112", 120, -49)))
+    P, D = ProductSum, DoubleSum
+    # order 5
+    _fn("chi0", "5", defining=P(lambda n: n, _inv_qn1_n))
+    _fn("chi1", "5", defining=P(lambda n: n, _inv_qn1_n1))
+    _fn("chi0_star", "5", ("chi60_111", 120, -1), qseries=("le_sum", 2),
+        defining=P(lambda n: (3 * n * n - n) // 2, _inv_qn1_n, _neg_alt, constant=2),
+        le_product=P(lambda m: 2 * m + 1, _qn1_n, constant=1),
+        le_sum=P(lambda n: n, _qn_n),
+        surgery=D(lambda k: k * (k + 1) + 1,
+                  lambda k, n: k * (k + 1) + n * (3 * n + 5) // 2 + k * n + 1))
+    _fn("chi1_star", "5", ("chi60_112", 120, -49), qseries=("le", 2),
+        defining=P(lambda n: 3 * n * (n + 1) // 2, _inv_qn1_n1, _alt),
+        le=P(lambda n: n, _qn1_n))
 
-    reg(NamedFunction("phi", "3", {"defining": _phi3}))
-    reg(NamedFunction("nu", "3", {"defining": _nu3}))
-    reg(NamedFunction("phi_star", "3", {
-        "defining": _phi3_star,
-        "false_theta": _false_theta("chi24_1", 24, -1),
-        "finite": _phi3_star_finite,
-        "surgery": _phi3_star_surgery,
-    }, character=("chi24_1", 24, -1)))
-    reg(NamedFunction("phi_star_minus", "3", {
-        "defining": _phi3_star_minus,
-        "false_theta": _false_theta("psi6_1", 24, -1),
-    }, character=("psi6_1", 24, -1)))
-    reg(NamedFunction("nu_star", "3", {
-        "defining": _nu3_star,
-        "false_theta": _false_theta("chi24_2", 24, -16),
-        "finite": _nu3_star_finite,
-    }, character=("chi24_2", 24, -16)))
-    reg(NamedFunction("f", "3", {"defining": _f3, "fine_form": _f3_fine}))
-    reg(NamedFunction("f_star", "3", {
-        "defining": _f3_star,
-        "false_theta": _f3_star_false,
-    }, character=("psi6_1", 24, -1)))  # with overall weight 2
-    reg(NamedFunction("omega", "3", {"defining": _omega3, "fine_form": _omega3_fine}))
-    reg(NamedFunction("omega_star", "3", {
-        "defining": _omega3_star,
-        "false_theta": _false_theta("psi6_1p2", 3, -1),
-    }, character=("psi6_1p2", 3, -1)))
-    reg(NamedFunction("chi3", "3", {"defining": _chi3, "fine_form": _chi3_fine},
-                      coefficient_field_order=12))
-    reg(NamedFunction("chi3_star", "3", {
-        "defining": _chi3_star,
-        "false_theta": _chi3_star_false,
-    }, coefficient_field_order=12))
-    reg(NamedFunction("rho3", "3", {"defining": _rho3, "fine_form": _rho3_fine},
-                      coefficient_field_order=12))
-    reg(NamedFunction("rho3_star", "3", {
-        "defining": _rho3_star,
-        "false_theta": _rho3_star_false,
-    }, coefficient_field_order=12))
+    # order 3
+    _fn("phi", "3", defining=P(lambda n: n * n, _inv_mq2_q2))
+    _fn("nu", "3", defining=P(lambda n: n * (n + 1), _inv_mq_q2))
+    _fn("phi_star", "3", ("chi24_1", 24, -1), qseries=("finite", 1),
+        defining=P(lambda n: n, _inv_mq2_q2),
+        finite=P(lambda n: n + 1, lambda n: [(n, _neg_alt(n), 1)] if n else [],
+                 constant=1),
+        surgery=D(lambda k: k * k + 1, lambda k, n: n * (2 * n + 3) + k * k + 1, step=2))
+    _fn("phi_star_minus", "3", ("psi6_1", 24, -1),
+        defining=P(lambda n: n, _inv_mq2_q2, _alt))
+    _fn("nu_star", "3", ("chi24_2", 24, -16), qseries=("finite", 1),
+        defining=P(lambda n: n, _inv_mq_q2),
+        finite=P(lambda n: 2 * n, lambda n: [(4 * n - 2, 1, 1)] if n else []))
+    _fn("f", "3", defining=P(lambda n: n * n, _sq(_inv_mq_n)),
+        fine_form=P(lambda n: n, _inv_mq_n, _neg_alt, constant=2))
+    _fn("f_star", "3", ("psi6_1", 24, -1), weight=2,
+        defining=P(lambda n: n * (n - 1) // 2, _inv_mq_n, _neg_alt, constant=2))
+    _fn("omega", "3", defining=P(lambda n: 2 * n * (n + 1), _sq(_inv_q_q2)),
+        fine_form=P(lambda n: n, _inv_q_q2))
+    _fn("omega_star", "3", ("psi6_1p2", 3, -1), qseries=("defining", 1),
+        defining=P(lambda n: n * (n + 1), _inv_q_q2, _alt))
+    # 1/(1 - q^n + q^2n) = (1 + q^n)/(1 + q^3n) and
+    # 1/(1 + q^e + q^2e) = (1 - q^e)/(1 - q^3e)
+    _fn("chi3", "3",
+        defining=P(lambda n: n * n, lambda n: [(n, -1, 1), (3 * n, -1, -1)] if n else []),
+        fine_form=P(lambda n: n, lambda n: [(n, -_z12(4), -1)],
+                    lambda n: -_z12(4 + 2 * n), start=1, constant=_z12(0)))
+    _fn("chi3_star", "3",
+        defining=P(lambda n: n * (n - 1) // 2, lambda n: [(n, _z12(2), -1)],
+                   lambda n: -_z12(4 - 2 * n), start=1, constant=1),
+        false_theta=_chi3_star_false)
+    _fn("rho3", "3",
+        defining=P(lambda n: 2 * n * (n + 1),
+                   lambda n: [(2 * n + 1, 1, 1), (6 * n + 3, 1, -1)]),
+        fine_form=P(lambda n: n, lambda n: [(2 * n + 1, _z12(4), -1)],
+                    lambda n: _z12(-4 * n)))
+    _fn("rho3_star", "3",
+        defining=P(lambda n: n * (n + 1), lambda n: [(2 * n + 1, _z12(8), -1)],
+                   lambda n: _z12(-2 * n)),
+        false_theta=_rho3_star_false)
 
-    reg(NamedFunction("F0", "7", {"defining": _F0}))
-    reg(NamedFunction("F1", "7", {"defining": _F1}))
-    reg(NamedFunction("F2", "7", {"defining": _F2}))
-    reg(NamedFunction("F0_star", "7", {
-        "defining": _F0_star,
-        "false_theta": _false_theta("chi84_111", 168, -1),
-        "double_sum": _F0_star_double,
-        "surgery": _F0_star_surgery,
-    }, character=("chi84_111", 168, -1)))
-    reg(NamedFunction("F1_star", "7", {
-        "defining": _F1_star,
-        "false_theta": _false_theta("chi84_112", 168, -25),
-    }, character=("chi84_112", 168, -25)))
-    reg(NamedFunction("F2_star", "7", {
-        "defining": _F2_star,
-        "false_theta": _false_theta("chi84_113", 168, -121),
-    }, character=("chi84_113", 168, -121)))
+    # order 7
+    _fn("F0", "7", defining=P(lambda n: n * n, _inv_qn1_n))
+    _fn("F1", "7", defining=P(lambda n: n * n, _inv_qn_n, start=1))
+    _fn("F2", "7", defining=P(lambda n: n * (n + 1), _inv_qn1_n1))
+    _fn("F0_star", "7", ("chi84_111", 168, -1), qseries=("double_sum", 2),
+        defining=P(lambda n: n * (n + 1) // 2, _inv_qn1_n, _alt),
+        double_sum=D(lambda k: 2 * k + 1,
+                     lambda k, n: (n + 2) * k - n * (n + 1) // 2 + 1, sign=-1),
+        surgery=D(lambda k: (k + 1) ** 2 + k,
+                  lambda k, n: k + n * (n - 1) // 2 + (k + n + 1) ** 2, sign=-1))
+    _fn("F1_star", "7", ("chi84_112", 168, -25),
+        defining=P(lambda n: n * (n - 1) // 2, _inv_qn_n, _alt, start=1))
+    _fn("F2_star", "7", ("chi84_113", 168, -121),
+        defining=P(lambda n: n * (n + 3) // 2, _inv_qn1_n1, _neg_alt))
 
-    reg(NamedFunction("phi6", "6", {"defining": _phi6}))
-    reg(NamedFunction("psi6", "6", {"defining": _psi6}))
-    reg(NamedFunction("rho6", "6", {"defining": _rho6}))
-    reg(NamedFunction("phi6_star", "6", {
-        "defining": _phi6_star,
-        "false_theta": _false_theta("psi12_1p5", 24, -1),
-    }, character=("psi12_1p5", 24, -1)))
-    reg(NamedFunction("psi6_star", "6", {
-        "defining": _psi6_star,
-        "false_theta": _false_theta("psi12_3", 24, -9),
-    }, character=("psi12_3", 24, -9)))
-    reg(NamedFunction("rho6_star", "6", {
-        "defining": _rho6_star,
-        "false_theta": _false_theta("psi24_6", 48, -36),
-    }, character=("psi24_6", 48, -36)))
+    # order 6
+    _fn("phi6", "6", defining=P(lambda n: n * n, _phi6_run, _alt))
+    _fn("psi6", "6", defining=P(lambda n: (n + 1) ** 2, _psi6_run, _alt))
+    _fn("rho6", "6", defining=P(lambda n: n * (n + 1) // 2, _rho6_run))
+    _fn("phi6_star", "6", ("psi12_1p5", 24, -1), qseries=("defining", 1),
+        defining=P(lambda n: n, _phi6_run))
+    _fn("psi6_star", "6", ("psi12_3", 24, -9), qseries=("defining", 1),
+        defining=P(lambda n: n, _psi6_run))
+    _fn("rho6_star", "6", ("psi24_6", 48, -36), qseries=("defining", 1),
+        defining=P(lambda n: n, _rho6_run, _alt))
 
-    reg(NamedFunction("Phi10", "10", {"defining": _Phi10}))
-    reg(NamedFunction("Psi10", "10", {"defining": _Psi10}))
-    reg(NamedFunction("X10", "10", {"defining": _X10}))
-    reg(NamedFunction("chi10", "10", {"defining": _chi10}))
-    reg(NamedFunction("Phi10_star", "10", {
-        "defining": _Phi10_star,
-        "false_theta": _false_theta("psi10_2p3", 5, -4),
-    }, character=("psi10_2p3", 5, -4)))
-    reg(NamedFunction("Psi10_star", "10", {
-        "defining": _Psi10_star,
-        "false_theta": _false_theta("psi10_1p4", 5, -1),
-    }, character=("psi10_1p4", 5, -1)))
-    reg(NamedFunction("X10_star", "10", {
-        "defining": _X10_star,
-        "false_theta": _false_theta("psi10_1", 40, -1),
-    }, character=("psi10_1", 40, -1)))
-    reg(NamedFunction("chi10_star", "10", {
-        "defining": _chi10_star,
-        "false_theta": _false_theta("psi10_3", 40, -9),
-    }, character=("psi10_3", 40, -9)))
+    # order 10
+    _fn("Phi10", "10", defining=P(lambda n: n * (n + 1) // 2, _inv_q_q2))
+    _fn("Psi10", "10", defining=P(lambda n: (n + 1) * (n + 2) // 2, _inv_q_q2))
+    _fn("X10", "10", defining=P(lambda n: n * n, _inv_mq_2n, _alt))
+    _fn("chi10", "10", defining=P(lambda n: (n + 1) ** 2, _inv_mq_2n1, _alt))
+    _fn("Phi10_star", "10", ("psi10_2p3", 5, -4),
+        defining=P(lambda n: n * (n + 3) // 2, _inv_q_q2, _alt))
+    _fn("Psi10_star", "10", ("psi10_1p4", 5, -1), qseries=("defining", 1),
+        defining=P(lambda n: n * (n + 1) // 2, _inv_q_q2, _alt))
+    _fn("X10_star", "10", ("psi10_1", 40, -1), qseries=("defining", 1),
+        defining=P(lambda n: n * (n + 1), _inv_mq_2n, _alt))
+    _fn("chi10_star", "10", ("psi10_3", 40, -9),
+        defining=P(lambda n: n * (n + 1), _inv_mq_2n1, _alt))
 
-    reg(NamedFunction("D5", "2?", {"defining": _D5}))
-    reg(NamedFunction("D6", "4?", {"defining": _D6}))
-    reg(NamedFunction("I12", "8?", {"defining": _I12}))
-    reg(NamedFunction("I13", "8?", {"defining": _I13}))
-    reg(NamedFunction("D5_star", "2?", {
-        "defining": _D5_star,
-        "false_theta": _false_theta("psi4_1", 4, -1),
-    }, character=("psi4_1", 4, -1)))
-    reg(NamedFunction("D6_star", "4?", {
-        "defining": _D6_star,
-        "false_theta": _false_theta("psi8_1p3", 4, -1),
-    }, character=("psi8_1p3", 4, -1)))
-    reg(NamedFunction("I12_star", "8?", {
-        "defining": _I12_star,
-        "false_theta": _false_theta("psi16_1p7", 16, -1),
-    }, character=("psi16_1p7", 16, -1)))
-    reg(NamedFunction("I13_star", "8?", {
-        "defining": _I13_star,
-        "false_theta": _false_theta("psi16_3p5", 16, -9),
-    }, character=("psi16_3p5", 16, -9)))
+    # orders 2, 4 and 8
+    _fn("D5", "2?", defining=P(lambda n: n, _rho6_run))
+    _fn("D6", "4?", defining=P(lambda n: n, _D6_run))
+    _fn("I12", "8?", defining=P(lambda n: 2 * n, _I12_run))
+    _fn("I13", "8?", defining=P(lambda n: n, _I12_run))
+    _fn("D5_star", "2?", ("psi4_1", 4, -1), qseries=("defining", 1),
+        defining=P(lambda n: n * (n + 1) // 2, _rho6_run, _alt))
+    _fn("D6_star", "4?", ("psi8_1p3", 4, -1), qseries=("defining", 1),
+        defining=P(lambda n: n * (n + 1) // 2, _D6_run, _alt))
+    _fn("I12_star", "8?", ("psi16_1p7", 16, -1), qseries=("defining", 1),
+        defining=P(lambda n: n * (n + 1) // 2, _I12_run, _alt))
+    _fn("I13_star", "8?", ("psi16_3p5", 16, -9),
+        defining=P(lambda n: n * (n + 3) // 2, _I12_run, _alt))
 
 
 _build_functions()
@@ -761,6 +353,33 @@ _build_functions()
 
 def _z(m: int, e: int) -> CycloNumber:
     return CycloNumber.root_of_unity(m, e % m)
+
+
+def _factor_at(m: int, j: int, e: int, c) -> CycloNumber:
+    """1 - c zeta^(j e) at zeta = zeta_m."""
+    z = _z(m, j * e)
+    if c == 1:
+        return 1 - z
+    return 1 + z if c == -1 else 1 - c * z
+
+
+def _vanishes(m: int, j: int, e: int, c) -> bool:
+    """Whether 1 - c zeta^(j e) is zero at zeta = zeta_m, by exponent
+    arithmetic for c = +-1."""
+    if c == 1:
+        return (j * e) % m == 0
+    if c == -1:
+        return (2 * j * e) % (2 * m) == m
+    return not _factor_at(m, j, e, c)
+
+
+def _term_at(m: int, j: int, spec: ProductSum, n: int) -> CycloNumber:
+    """coeff(n) zeta^(j lead(n))."""
+    z = _z(m, j * spec.lead(n))
+    c = spec.coeff(n)
+    if c == 1:
+        return z
+    return -z if c == -1 else c * z
 
 
 class _FractionSum:
@@ -784,36 +403,59 @@ class _FractionSum:
         return self.num * self.den.inv()
 
 
-def _terminating_product_sum(m: int, j: int, *, numerator_factor, denominator_factor,
-                             term_monomial, constant: int = 0,
+def _terminating_product_sum(m: int, j: int, spec: ProductSum,
                              cap: Optional[int] = None) -> CycloNumber:
-    """Evaluate constant + sum_n term_monomial(n) * NUM_n / DEN_n at zeta_m^j
-    where both NUM and DEN extend multiplicatively with n.
+    """Evaluate a spec at zeta_m^j whose running product has numerator
+    factors, as the limit of the sum along the radius.
 
-    ``numerator_factor(n)`` / ``denominator_factor(n)`` return lists of pairs
-    (e, sign) describing the new factors (1 + sign * zeta^(j e)) entering at
-    step n; once a numerator factor vanishes the tail is identically zero.
-    A vanishing denominator factor makes the sum undefined at this root."""
+    A factor that vanishes at the root enters through the count of such
+    factors in the running product (numerator minus denominator).  A term
+    whose count is positive tends to zero; a term whose count is zero tends
+    to the product of its other factors times prod e over its vanishing
+    numerator factors / prod e over its vanishing denominator factors (the
+    limit of (1 - c q^e)/(1 - c' q^e') is e/e'); a negative count makes the
+    sum undefined at this root.  Past the first steps the factor exponents
+    are affine in n, so their zero pattern repeats every r steps (r the order
+    of the point); once the count is positive over r consecutive steps and no
+    lower than r steps before, every later term tends to zero and the sum
+    ends."""
+    r = m // math.gcd(m, j)
     cap = cap or 10 * m + 40
+    steps = []  # (n, factors(n), count after step n)
+    count = 0
+    for i, n in enumerate(range(spec.start, spec.start + cap)):
+        factors = spec.factors(n)
+        count += sum(s for e, c, s in factors if _vanishes(m, j, e, c))
+        if count < 0:
+            raise DivergenceError("denominator factor vanishes at this root of unity")
+        steps.append((n, factors, count))
+        if i >= r + 2 and count >= steps[i - r][2] and \
+                min(c for _, _, c in steps[i - r + 1:]) >= 1:
+            break
+    else:
+        raise DivergenceError(f"no terminating factor within cap {cap} terms")
+    while steps and steps[-1][2]:
+        steps.pop()  # terms that tend to zero
     acc = _FractionSum()
-    if constant:
-        acc.add(CycloNumber.from_rational(constant))
+    if spec.constant:
+        acc.add(CycloNumber.from_rational(spec.constant))
     num = CycloNumber.one()
-    for n in range(cap):
-        for e, sign in numerator_factor(n):
-            num = num * (1 + sign * _z(m, j * e))
-        if not num:
-            return acc.value()
-        for e, sign in denominator_factor(n):
-            acc.extend_den(1 + sign * _z(m, j * e))
-        acc.add(num * term_monomial(n))
-    raise DivergenceError(f"no terminating factor within cap {cap} terms")
+    for n, factors, count in steps:
+        for e, c, s in factors:
+            if s > 0:
+                num = num * (_factor_at(m, j, e, c) or e)
+        for e, c, s in factors:
+            if s < 0:
+                acc.extend_den(_factor_at(m, j, e, c) or CycloNumber.from_rational(e))
+        if not count:
+            acc.add(num * _term_at(m, j, spec, n))
+    return acc.value()
 
 
-def _collapse_sum(m: int, j: int, *, den_factor, term_numerator) -> CycloNumber:
-    """Evaluate sum_n term_numerator(n) / DEN_n at zeta_m^j where DEN extends
-    multiplicatively and the terms repeat with an exact ratio of modulus < 1
-    after a full period of factors; the sum then collapses to
+def _collapse_sum(m: int, j: int, spec: ProductSum) -> CycloNumber:
+    """Evaluate a spec at zeta_m^j whose running product has only denominator
+    factors and whose terms repeat with an exact ratio of modulus < 1 after a
+    full period of factors; the sum then collapses to
     (t_0 + ... + t_(p-1)) / (1 - ratio)."""
     r = m // math.gcd(m, j)
     candidates = [r, 2 * r, 4 * r]
@@ -822,14 +464,14 @@ def _collapse_sum(m: int, j: int, *, den_factor, term_numerator) -> CycloNumber:
     facs: list[CycloNumber] = []
     dens: list[CycloNumber] = []
     den = CycloNumber.one()
-    for n in range(need):
+    for n in range(spec.start, spec.start + need):
         f = CycloNumber.one()
-        for e, sign in den_factor(n):
-            f = f * (1 + sign * _z(m, j * e))
+        for e, c, _ in spec.factors(n):
+            f = f * _factor_at(m, j, e, c)
         if not f:
             raise DivergenceError("denominator factor vanishes at this root of unity")
         den = den * f
-        nums.append(term_numerator(n))
+        nums.append(_term_at(m, j, spec, n))
         facs.append(f)
         dens.append(den)
     for p in candidates:
@@ -850,7 +492,8 @@ def _collapse_sum(m: int, j: int, *, den_factor, term_numerator) -> CycloNumber:
         for n in range(p - 1, -1, -1):
             head_num = head_num + nums[n] * suffix
             suffix = suffix * facs[n]
-        return head_num * B * (dens[p - 1] * (B - A)).inv()
+        value = head_num * B * (dens[p - 1] * (B - A)).inv()
+        return value + spec.constant if spec.constant else value
     raise DivergenceError("no exact geometric period found")
 
 
@@ -891,18 +534,39 @@ def _grouped_sum_at_root(m: int, j: int, inner, *, step: int = 1,
     raise DivergenceError(f"double sum groups did not vanish within {cap} outer terms")
 
 
-# per-function exact q-series routes ----------------------------------------
+def _double_sum_at_root(m: int, j: int, spec: DoubleSum) -> CycloNumber:
+    def inner(k: int, row: list[CycloNumber]) -> CycloNumber:
+        acc = CycloNumber.zero()
+        for n in range(k + 1):
+            v = row[n] * _z(m, j * spec.exponent(k, n))
+            acc = acc - v if (n % 2 == 1) == (spec.sign > 0) else acc + v
+        return acc
+    return _grouped_sum_at_root(m, j, inner, step=spec.step, constant=spec.constant)
 
-def _neg_pow(n: int) -> int:
-    return -1 if n % 2 else 1
+
+def _X10_star_grouped_at_root(m: int, j: int) -> CycloNumber:
+    """X10_star as a double sum, for the roots where its defining sum does not
+    collapse."""
+    def inner(k: int, row: list[CycloNumber]) -> CycloNumber:
+        acc = CycloNumber.zero()
+        for n in range(1, (k + 1) // 2 + 1):
+            mm = k - 2 * n + 1
+            v = row[mm] * _z(m, j * (n * (n + 1) + mm))
+            acc = acc - v if (n + mm) % 2 else acc + v
+        return acc
+    return _grouped_sum_at_root(m, j, inner, constant=1)
 
 
-def _chi0_star_le_sum_at_root(m: int, j: int) -> CycloNumber:
+def _le_sum_at_root(m: int, j: int, offset: int) -> CycloNumber:
+    """sum_n q^n (q^(n+offset); q)_n at zeta_m^j, each window product taken
+    afresh so that no factor is ever divided out.  The terms with n >= r
+    (r the order of the point) vanish: their windows of n consecutive
+    factors contain one that vanishes."""
     r = m // math.gcd(m, j)
     total = CycloNumber.zero()
     for n in range(r):
         term = _z(m, j * n)
-        for i in range(n, 2 * n):
+        for i in range(n + offset, 2 * n + offset):
             term = term * (1 - _z(m, j * i))
             if not term:
                 break
@@ -910,187 +574,27 @@ def _chi0_star_le_sum_at_root(m: int, j: int) -> CycloNumber:
     return total
 
 
-def _chi1_star_le_at_root(m: int, j: int) -> CycloNumber:
-    r = m // math.gcd(m, j)
-    total = CycloNumber.zero()
-    for n in range(r):
-        term = _z(m, j * n)
-        for i in range(n + 1, 2 * n + 1):
-            term = term * (1 - _z(m, j * i))
-            if not term:
-                break
-        total = total + term
-    return total
+#: Le-type forms, evaluated division-free: (function, variant) -> window offset
+_LE_OFFSETS = {("chi0_star", "le_sum"): 0, ("chi1_star", "le"): 1}
 
 
-def _phi3_star_finite_at_root(m: int, j: int) -> CycloNumber:
-    # 1 + sum_n q^(n+1) (q; -q)_n, where (q; -q)_n gains (1 - (-1)^(n-1) q^n)
-    return _terminating_product_sum(
-        m, j,
-        numerator_factor=lambda n: [(n, _neg_pow(n))] if n else [],
-        denominator_factor=lambda n: [],
-        term_monomial=lambda n: _z(m, j * (n + 1)),
-        constant=1)
-
-
-def _nu3_star_finite_at_root(m: int, j: int) -> CycloNumber:
-    return _terminating_product_sum(
-        m, j,
-        numerator_factor=lambda n: [(4 * n - 2, -1)] if n else [],
-        denominator_factor=lambda n: [],
-        term_monomial=lambda n: _z(m, j * 2 * n))
-
-
-def _omega3_star_at_root(m: int, j: int) -> CycloNumber:
-    return _collapse_sum(
-        m, j,
-        den_factor=lambda n: [(2 * n + 1, -1)],
-        term_numerator=lambda n: _neg_pow(n) * _z(m, j * n * (n + 1)))
-
-
-def _Psi10_star_at_root(m: int, j: int) -> CycloNumber:
-    return _collapse_sum(
-        m, j,
-        den_factor=lambda n: [(2 * n + 1, -1)],
-        term_numerator=lambda n: _neg_pow(n) * _z(m, j * (n * (n + 1) // 2)))
-
-
-def _X10_star_at_root(m: int, j: int) -> CycloNumber:
-    def attempt_collapse():
-        return _collapse_sum(
-            m, j,
-            den_factor=lambda n: [(2 * n - 1, 1), (2 * n, 1)] if n else [],
-            term_numerator=lambda n: _neg_pow(n) * _z(m, j * n * (n + 1)))
-
-    def grouped():
-        def inner(k: int, row: list[CycloNumber]) -> CycloNumber:
-            acc = CycloNumber.zero()
-            for n in range(1, (k + 1) // 2 + 1):
-                mm = k - 2 * n + 1
-                acc = acc + _neg_pow(n + mm) * row[mm] * _z(m, j * (n * (n + 1) + mm))
-            return acc
-        return _grouped_sum_at_root(m, j, inner, constant=1)
-
-    try:
-        return attempt_collapse()
-    except DivergenceError:
-        return grouped()
-
-
-def _rho6_star_at_root(m: int, j: int) -> CycloNumber:
-    return _terminating_product_sum(
-        m, j,
-        numerator_factor=lambda n: [(n, 1)] if n else [],
-        denominator_factor=lambda n: [(2 * n + 1, -1)],
-        term_monomial=lambda n: _neg_pow(n) * _z(m, j * n))
-
-
-def _D5_star_at_root(m: int, j: int) -> CycloNumber:
-    return _terminating_product_sum(
-        m, j,
-        numerator_factor=lambda n: [(n, 1)] if n else [],
-        denominator_factor=lambda n: [(2 * n + 1, -1)],
-        term_monomial=lambda n: _neg_pow(n) * _z(m, j * (n * (n + 1) // 2)))
-
-
-def _D6_star_at_root(m: int, j: int) -> CycloNumber:
-    # (q^(n+1))_(n+1) is rewritten as (q)_(2n+1)/(q)_n so that both products
-    # extend; the (q)_n part joins the numerator
-    return _terminating_product_sum(
-        m, j,
-        numerator_factor=lambda n: [(2 * n, 1), (n, -1)] if n else [],
-        denominator_factor=lambda n: ([(1, -1)] if n == 0 else [(2 * n, -1), (2 * n + 1, -1)]),
-        term_monomial=lambda n: _neg_pow(n) * _z(m, j * (n * (n + 1) // 2)))
-
-
-def _I12_star_at_root(m: int, j: int) -> CycloNumber:
-    return _terminating_product_sum(
-        m, j,
-        numerator_factor=lambda n: [(2 * n - 1, 1), (n, -1)] if n else [],
-        denominator_factor=lambda n: ([(1, -1)] if n == 0 else [(2 * n, -1), (2 * n + 1, -1)]),
-        term_monomial=lambda n: _neg_pow(n) * _z(m, j * (n * (n + 1) // 2)))
-
-
-def _phi6_star_at_root(m: int, j: int) -> CycloNumber:
-    return _terminating_product_sum(
-        m, j,
-        numerator_factor=lambda n: [(2 * n - 1, -1)] if n else [],
-        denominator_factor=lambda n: [(2 * n - 1, 1), (2 * n, 1)] if n else [],
-        term_monomial=lambda n: _z(m, j * n))
-
-
-def _psi6_star_at_root(m: int, j: int) -> CycloNumber:
-    return _terminating_product_sum(
-        m, j,
-        numerator_factor=lambda n: [(2 * n - 1, -1)] if n else [],
-        denominator_factor=lambda n: ([(1, 1)] if n == 0 else [(2 * n, 1), (2 * n + 1, 1)]),
-        term_monomial=lambda n: _z(m, j * n))
-
-
-def _chi0_star_surgery_at_root(m: int, j: int) -> CycloNumber:
-    def inner(k: int, row: list[CycloNumber]) -> CycloNumber:
-        acc = CycloNumber.zero()
-        for n in range(k + 1):
-            e = k * (k + 1) + n * (3 * n + 5) // 2 + k * n + 1
-            acc = acc + _neg_pow(n) * row[n] * _z(m, j * e)
-        return acc
-    return _grouped_sum_at_root(m, j, inner, constant=1)
-
-
-def _phi3_star_surgery_at_root(m: int, j: int) -> CycloNumber:
-    def inner(k: int, row: list[CycloNumber]) -> CycloNumber:
-        acc = CycloNumber.zero()
-        for n in range(k + 1):
-            e = n * (2 * n + 3) + k * k + 1
-            acc = acc + _neg_pow(n) * row[n] * _z(m, j * e)
-        return acc
-    return _grouped_sum_at_root(m, j, inner, step=2, constant=1)
-
-
-def _F0_star_surgery_at_root(m: int, j: int) -> CycloNumber:
-    def inner(k: int, row: list[CycloNumber]) -> CycloNumber:
-        acc = CycloNumber.zero()
-        for n in range(k + 1):
-            e = k + n * (n - 1) // 2 + (k + n + 1) ** 2
-            acc = acc - _neg_pow(n) * row[n] * _z(m, j * e)
-        return acc
-    return _grouped_sum_at_root(m, j, inner, constant=1)
-
-
-def _F0_star_double_at_root(m: int, j: int) -> CycloNumber:
-    def inner(k: int, row: list[CycloNumber]) -> CycloNumber:
-        acc = CycloNumber.zero()
-        for n in range(k + 1):
-            e = (n + 2) * k - n * (n + 1) // 2 + 1
-            acc = acc - _neg_pow(n) * row[n] * _z(m, j * e)
-        return acc
-    return _grouped_sum_at_root(m, j, inner, constant=1)
-
-
-#: q-series routes at roots of unity; each entry is (callable, scale) where
-#: the radial limit equals scale * (value of the q-series form at the root)
-_QSERIES_AT_ROOT: dict[str, tuple] = {
-    "chi0_star": (_chi0_star_le_sum_at_root, 2),
-    "chi1_star": (_chi1_star_le_at_root, 2),
-    "phi_star": (_phi3_star_finite_at_root, 1),
-    "nu_star": (_nu3_star_finite_at_root, 1),
-    "omega_star": (_omega3_star_at_root, 1),
-    "phi6_star": (_phi6_star_at_root, 1),
-    "psi6_star": (_psi6_star_at_root, 1),
-    "rho6_star": (_rho6_star_at_root, 1),
-    "Psi10_star": (_Psi10_star_at_root, 1),
-    "X10_star": (_X10_star_at_root, 1),
-    "D5_star": (_D5_star_at_root, 1),
-    "D6_star": (_D6_star_at_root, 1),
-    "I12_star": (_I12_star_at_root, 1),
-    "F0_star": (_F0_star_double_at_root, 2),
-}
-
-_SURGERY_AT_ROOT: dict[str, Callable] = {
-    "chi0_star": _chi0_star_surgery_at_root,
-    "phi_star": _phi3_star_surgery_at_root,
-    "F0_star": _F0_star_surgery_at_root,
-}
+def variant_at_root(fn_id: str, variant: str, root_order: int,
+                    root_power: int = 1) -> CycloNumber:
+    """Exact value of one series variant at q = zeta_(root_order)^(root_power),
+    as the form itself sums there (no radial factor applied)."""
+    m, j = root_order, root_power
+    if (fn_id, variant) in _LE_OFFSETS:
+        return _le_sum_at_root(m, j, _LE_OFFSETS[fn_id, variant])
+    spec = get_function(fn_id).variants.get(variant)
+    if isinstance(spec, DoubleSum):
+        return _double_sum_at_root(m, j, spec)
+    if not isinstance(spec, ProductSum):
+        raise UnsupportedMethodError(f"{fn_id} variant {variant!r} has no exact "
+                                     "evaluation at roots")
+    # numerator factors, where a spec has them, enter within its first two steps
+    if any(s > 0 for n in range(spec.start, spec.start + 2) for _, _, s in spec.factors(n)):
+        return _terminating_product_sum(m, j, spec)
+    return _collapse_sum(m, j, spec)
 
 
 def value_at_root(fn_id: str, root_order: int, root_power: int = 1,
@@ -1107,25 +611,24 @@ def value_at_root(fn_id: str, root_order: int, root_power: int = 1,
         if fn.character is None:
             raise UnsupportedMethodError(f"{fn_id} has no character expansion")
         char_id, denom, shift = fn.character
-        chi = chars.get_character(char_id)
-        weight = 2 if fn_id == "f_star" else 1
-        if method == "eichler":
-            v = false_theta_radial_limit(chi, denom, shift, root_order, root_power)
-            return v * weight if weight != 1 else v
-        v = false_theta_radial_numeric(chi, denom, shift, root_order, root_power)
-        return v * weight if weight != 1 else v
+        radial = false_theta_radial_limit if method == "eichler" else false_theta_radial_numeric
+        v = radial(chars.get_character(char_id), denom, shift, root_order, root_power)
+        return v * fn.weight if fn.weight != 1 else v
     if method == "qseries":
-        entry = _QSERIES_AT_ROOT.get(fn_id)
-        if entry is None:
+        if fn.qseries is None:
             raise UnsupportedMethodError(f"{fn_id} has no exact q-series route at roots")
-        evaluator, scale = entry
-        v = evaluator(root_order, root_power)
+        variant, scale = fn.qseries
+        try:
+            v = variant_at_root(fn_id, variant, root_order, root_power)
+        except DivergenceError:
+            if fn_id != "X10_star":
+                raise
+            v = _X10_star_grouped_at_root(root_order, root_power)
         return v * scale if scale != 1 else v
     if method == "surgery":
-        evaluator = _SURGERY_AT_ROOT.get(fn_id)
-        if evaluator is None:
+        if "surgery" not in fn.variants:
             raise UnsupportedMethodError(f"{fn_id} has no surgery form")
-        return evaluator(root_order, root_power)
+        return variant_at_root(fn_id, "surgery", root_order, root_power)
     raise UnsupportedMethodError(f"unknown evaluation method {method!r}")
 
 
@@ -1182,10 +685,21 @@ def _xq(x: Monomial) -> Monomial:
     return Monomial(x.coeff, x.num + x.den, x.den)
 
 
+def _prefixes(poch, z: Monomial, count: int, t: int) -> list[QSeries]:
+    """[poch(z, 1, i, t) for i < count], each extending the one before by a
+    single factor; ``poch`` is pochhammer or pochhammer_inverse."""
+    out = [poch(z, 1, 0, t)]
+    for _ in range(1, count):
+        out.append(out[-1] * poch(z, 1, 1, t))
+        z = _xq(z)
+    return out
+
+
 def beta_from_alpha(x: Monomial, alpha: list, truncation: int) -> BaileyPair:
     """Complete a pair from its alpha side:
     beta_n = sum_(k<=n) alpha_k / ((q)_(n-k) (x q)_(n+k))."""
-    xq = _xq(x)
+    inv_q = _prefixes(pochhammer_inverse, Monomial.q(1), len(alpha), truncation)
+    inv_xq = _prefixes(pochhammer_inverse, _xq(x), 2 * len(alpha), truncation)
     beta = []
     for n in range(len(alpha)):
         total = QSeries.zero(1, truncation)
@@ -1195,9 +709,7 @@ def beta_from_alpha(x: Monomial, alpha: list, truncation: int) -> BaileyPair:
                 if not a:
                     continue
                 a = QSeries.constant(a, 1, truncation)
-            term = a * pochhammer_inverse(_mono(1), 1, n - k, truncation) \
-                * pochhammer_inverse(xq, 1, n + k, truncation)
-            total = total + term
+            total = total + a * inv_q[n - k] * inv_xq[n + k]
         beta.append(total.truncate(truncation))
     return BaileyPair(x, list(alpha), beta, len(alpha), truncation)
 
@@ -1233,15 +745,16 @@ def bailey_reduced_identity(pair: BaileyPair, truncation: int) -> VerificationRe
     def wrap(v):
         return v if isinstance(v, QSeries) else QSeries.constant(v, 1, t)
 
+    common = _prefixes(pochhammer, Monomial.q(1), needed, t)
+    inv_x = _prefixes(pochhammer_inverse, pair.x, needed, t)
     lhs = QSeries.zero(1, t)
     rhs = QSeries.zero(1, t)
     for n in range(needed):
         sign = 1 if n % 2 == 0 else -1
-        xpow = coeff_pow_mono(pair.x, n)
+        xpow = Monomial(coeff_pow(pair.x.coeff, n), pair.x.num * n, pair.x.den)
         qshift = Monomial.q(Fraction(n * (n - 1), 2))
-        common = pochhammer(_mono(1), 1, n, t)
-        lt = common * pochhammer_inverse(pair.x, 1, n, t) * wrap(pair.alpha[n])
-        rt = common * wrap(pair.beta[n])
+        lt = common[n] * inv_x[n] * wrap(pair.alpha[n])
+        rt = common[n] * wrap(pair.beta[n])
         lhs = lhs + (lt.shift(xpow).shift(qshift) * sign).truncate(t)
         rhs = rhs + (rt.shift(xpow).shift(qshift) * sign).truncate(t)
     one_minus_x = QSeries.one(pair.x.den, t * pair.x.den) - QSeries.from_monomial(
@@ -1252,11 +765,6 @@ def bailey_reduced_identity(pair: BaileyPair, truncation: int) -> VerificationRe
     return VerificationReport(
         id=f"bailey_reduced(x=q^{ex})", status="pass" if mm is None else "fail",
         truncation=t, first_mismatch=mm)
-
-
-def coeff_pow_mono(x: Monomial, n: int) -> Monomial:
-    from .series import coeff_pow
-    return Monomial(coeff_pow(x.coeff, n), x.num * n, x.den)
 
 
 _SURGERY_SERIES_IDS = {

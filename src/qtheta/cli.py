@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -24,7 +25,7 @@ import mpmath
 
 from . import __version__, catalog, dsl, lfunc, wrt
 from .cyclo import CycloNumber
-from .errors import DegenerateCaseError, QThetaError
+from .errors import DomainError, QThetaError
 from .report import VerificationReport
 
 _DEFAULTS = {"order": 100, "precision_bits": 128, "cache_dir": "", "jobs": 1}
@@ -52,26 +53,48 @@ def _load_config(path: str | None) -> dict:
         if env in os.environ:
             settings[key] = os.environ[env]
     for key in ("order", "precision_bits", "jobs"):
-        settings[key] = int(settings[key])
+        try:
+            settings[key] = int(settings[key])
+        except ValueError:
+            raise DomainError(f"config key {key!r} needs an integer, "
+                              f"got {settings[key]!r}") from None
     return settings
 
 
+_CACHE_FIELDS = {"exit_code", "payload", "lines"}
+
+
 def _cache_lookup(cache_dir: str, key: dict):
+    """(stored entry or None, path); an unreadable or corrupt file is a miss
+    and gets overwritten by the next store."""
     if not cache_dir:
         return None, None
     blob = json.dumps(key, sort_keys=True).encode()
     digest = hashlib.sha256(blob).hexdigest()
     path = Path(cache_dir) / f"{digest}.json"
-    if path.is_file():
-        return json.loads(path.read_text()), path
-    return None, path
+    try:
+        entry = json.loads(path.read_text())
+    except (OSError, ValueError):
+        return None, path
+    if not isinstance(entry, dict) or not _CACHE_FIELDS <= entry.keys():
+        return None, path
+    return entry, path
 
 
 def _cache_store(path, payload: dict):
+    """Write through a temporary file in the same directory and rename it
+    into place, so a reader never sees a half-written entry."""
     if path is None:
         return
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=1, sort_keys=False))
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".json")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(json.dumps(payload, indent=1, sort_keys=False))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _emit(payload: dict, as_json: bool, lines: list[str]):
@@ -282,6 +305,7 @@ def main(argv=None) -> int:
             "command": args.command,
             "args": {k: v for k, v in sorted(vars(args).items())
                      if k not in ("fn", "json", "cache", "config", "jobs")},
+            "config": {k: cfg[k] for k in ("order", "precision_bits")},
         }
         cached, cache_path = _cache_lookup(cache_dir, cache_key)
         if cached is not None:
@@ -295,10 +319,7 @@ def main(argv=None) -> int:
                                   "lines": lines})
         _emit(payload, args.json, lines)
         return code
-    except (QThetaError, DegenerateCaseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except QThetaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

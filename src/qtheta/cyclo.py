@@ -3,12 +3,8 @@
 A CycloNumber is an element of Q(zeta_M) written in the power basis
 1, zeta, ..., zeta^(phi(M)-1) modulo the M-th cyclotomic polynomial, with a
 single integer denominator.  Representation stays canonical: coordinates are
-integers, gcd(coords, den) == 1, den > 0.
-
-The module also provides the two evaluation engines used at roots of unity:
-``eval_terminating`` for sums whose terms vanish permanently beyond a finite
-index, and ``eval_geometric`` for sums whose terms repeat with an exact
-ratio of modulus < 1 after a full period of factors.
+integers, gcd(coords, den) == 1, den > 0.  The engines that sum series at
+roots of unity live in ``catalog``.
 """
 
 from __future__ import annotations
@@ -17,11 +13,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import mpmath
 
-from .errors import DivergenceError, DomainError, QThetaError
+from .errors import DomainError
 
 
 def euler_phi(m: int) -> int:
@@ -382,60 +378,3 @@ def root_weighted_sum(order: int, terms: Iterable[tuple[int, int]], weight_den: 
                     vec[k] += w * pc
     num, den = _normalize(vec, weight_den)
     return CycloNumber(order, num, den)
-
-
-# ---------------------------------------------------------------------------
-# Root-of-unity evaluation engines
-# ---------------------------------------------------------------------------
-
-#: sentinel a term iterator may yield to assert every later term vanishes
-ZERO_FOREVER = object()
-
-
-def eval_terminating(terms: Iterator, cap: int) -> CycloNumber:
-    """Sum a q-series at a root of unity when the terms provably terminate.
-
-    ``terms`` yields CycloNumber values, or the ZERO_FOREVER sentinel once a
-    permanently vanishing Pochhammer factor has entered the terms.  If the
-    sentinel does not appear within ``cap`` terms the sum is reported as
-    nonterminating.
-    """
-    total = None
-    for i, t in enumerate(terms):
-        if t is ZERO_FOREVER:
-            if total is None:
-                raise QThetaError("terminating sum produced no terms")
-            return total
-        total = t if total is None else total + t
-        if i + 1 >= cap:
-            raise DivergenceError(f"no vanishing factor found within cap {cap}")
-    if total is None:
-        raise QThetaError("terminating sum produced no terms")
-    return total
-
-
-def eval_geometric(term_fn: Callable[[int], CycloNumber], period_candidates: Sequence[int],
-                   cap: int) -> CycloNumber:
-    """Sum an infinite series whose terms satisfy t_(n+p) = c * t_n exactly.
-
-    The period p is found among ``period_candidates``; the exact ratio is
-    validated on a full window and |c| < 1 is checked numerically, after which
-    the sum collapses to (t_0 + ... + t_(p-1)) / (1 - c).
-    """
-    for p in period_candidates:
-        if 2 * p > cap:
-            break
-        window = [term_fn(n) for n in range(2 * p)]
-        idx = next((n for n in range(p) if window[n]), None)
-        if idx is None:
-            continue
-        ratio = window[idx + p] / window[idx]
-        if all(window[n + p] == ratio * window[n] for n in range(p)):
-            mod = abs(complex(ratio.to_complex(64)))
-            if mod >= 1:
-                raise DivergenceError(f"periodic ratio has modulus {mod:.3f} >= 1")
-            head = window[0]
-            for t in window[1:p]:
-                head = head + t
-            return head * (1 - ratio).inv()
-    raise DivergenceError("no exact geometric period found among candidates")

@@ -17,24 +17,23 @@ from typing import Callable, Optional
 
 from .errors import UnknownIdError
 from .report import VerificationReport
-from .series import (INFINITY, Monomial, QSeries, pochhammer, pochhammer_inverse,
-                     selftest_eta_cubed, selftest_euler, selftest_q_binomial_theorem,
-                     selftest_triple_product, substitute_power)
+from .series import (INFINITY, Monomial, ProductSum, QSeries, coeff_pow, pochhammer,
+                     pochhammer_inverse, selftest_eta_cubed, selftest_euler,
+                     selftest_q_binomial_theorem, selftest_triple_product,
+                     substitute_power)
 
 
-@dataclass
+@dataclass(frozen=True)
 class IdentityRecord:
     id: str
     description: str
     default_truncation: int
     runner: Callable[[int], VerificationReport]
     tags: frozenset = frozenset()
-    status: str = "unverified"
 
     def run(self, truncation: Optional[int] = None) -> VerificationReport:
         rep = self.runner(truncation or self.default_truncation)
         rep.id = self.id
-        self.status = rep.status
         return rep
 
 
@@ -117,10 +116,6 @@ def _adapter(id_: str, desc: str, default_t: int, fn, tags) -> IdentityRecord:
     def runner(t: int) -> VerificationReport:
         return fn(t)
     return _register(IdentityRecord(id_, desc, default_t, runner, frozenset(tags)))
-
-
-def _mono(power, coeff=1) -> Monomial:
-    return Monomial.q(Fraction(power), coeff)
 
 
 def _variant_pair(id_: str, fn_id: str, va: str, vb: str, default_t: int, tags,
@@ -246,7 +241,7 @@ def _build_classical():
 
     def qbs(t):
         from .series import q_binomial_column
-        for z in (_mono(1), _mono(2)):
+        for z in (Monomial.q(1), Monomial.q(2)):
             en = z.num
             for n in range(0, 11):
                 # 1/(z)_N as the binomial series in z, multiplied back by (z)_N
@@ -254,7 +249,7 @@ def _build_classical():
                 col = q_binomial_column(n, t)
                 m = 0
                 while m * en < t:
-                    lhs = lhs + next(col).shift(_mono(m * en)).truncate(t)
+                    lhs = lhs + next(col).shift(Monomial.q(m * en)).truncate(t)
                     m += 1
                 prod = lhs * pochhammer(z, 1, n, t)
                 mm = prod.first_mismatch(QSeries.one(1, t))
@@ -268,16 +263,13 @@ def _build_classical():
              qbs, ("classical",))
 
     def qbf(t):
-        cases = [(Monomial(0, 0, 1), _mono(1)), (_mono(1), _mono(2)),
-                 (Monomial(-1, 1, 1), _mono(1))]
+        cases = [(Monomial(0, 0, 1), Monomial.q(1)), (Monomial.q(1), Monomial.q(2)),
+                 (Monomial(-1, 1, 1), Monomial.q(1))]
         for a, z in cases:
-            lhs = QSeries.zero(1, t)
-            n = 0
-            while n * z.exponent < t:
-                term = pochhammer(a, 1, n, t) * pochhammer_inverse(_mono(1), 1, n, t)
-                lhs = lhs + term.shift(
-                    Monomial(_coeff_pow(z.coeff, n), z.num * n, z.den)).truncate(t)
-                n += 1
+            # sum_n (a)_n / (q)_n z^n, for integer exponents of a and z
+            lhs = ProductSum(lambda n: n * z.num,
+                             lambda n: [(a.num + n - 1, a.coeff, 1), (n, 1, -1)] if n else [],
+                             lambda n: coeff_pow(z.coeff, n)).series(t)
             az = Monomial(a.coeff * z.coeff, a.num + z.num, 1)
             rhs = pochhammer(az, 1, INFINITY, t) * pochhammer_inverse(z, 1, INFINITY, t)
             mm = lhs.first_mismatch(rhs)
@@ -291,154 +283,101 @@ def _build_classical():
              ("classical",))
 
 
-def _coeff_pow(c, k):
-    from .series import coeff_pow
-    return coeff_pow(c, k)
-
-
 # -- hypergeometric transformation instances -----------------------------------
 
-def _geom_inv(e: int, t: int, coeff=1) -> QSeries:
-    out: dict = {}
-    j, c = 0, 1
-    while j * e < t:
-        if c:
-            out[j * e] = c
-        c = c * coeff
-        j += 1
-    return QSeries.make(1, t, out)
-
-
-def _lin(e: int, t: int, coeff=1) -> QSeries:
-    out = {0: 1}
-    if e < t and coeff:
-        out[e] = -coeff
-    return QSeries.make(1, t, out)
-
-
-def _inc_sum(t, lead, shift_of, factors_of, start_value=None, start=0):
-    """sum_n q^(lead(n)) * shift_of(n) * R_n where the running product R gains
-    factors_of(n) at step n; each factor is (kind, exponent, coeff) with kind
-    'lin' for (1 - c q^e) or 'inv' for 1/(1 - c q^e)."""
-    total = QSeries.zero(1, t)
-    run = start_value if start_value is not None else QSeries.one(1, t)
-    n = start
-    while lead(n) < t:
-        for kind, e, c in factors_of(n):
-            run = run * (_lin(e, t, c) if kind == "lin" else _geom_inv(e, t, c))
-        total = total + run.shift(shift_of(n)).truncate(t)
-        n += 1
-    return total
-
-
 def _build_transformations():
-    # instances of the two-base transformation used for the order-6 proofs
+    # instances of the two-base transformation used for the order-6 proofs;
+    # factors are (e, c, s) for (1 - c q^e)^s entering the running product
     def andrews_1(t):
         # alpha=0, beta=q, gamma=-q^2, z=q
-        lhs = _inc_sum(
-            t, lambda n: n, lambda n: _mono(n),
-            lambda n: [("lin", 2 * n - 1, 1), ("lin", 2 * n, 1), ("inv", 2 * n, 1),
-                       ("inv", 2 * n, -1), ("inv", 2 * n + 1, -1)] if n else [])
-        pref = pochhammer(_mono(1), 1, INFINITY, t) \
+        lhs = ProductSum(lambda n: n, lambda n: [
+            (2 * n - 1, 1, 1), (2 * n, 1, 1), (2 * n, 1, -1), (2 * n, -1, -1),
+            (2 * n + 1, -1, -1)] if n else []).series(t)
+        pref = pochhammer(Monomial.q(1), 1, INFINITY, t) \
             * pochhammer_inverse(Monomial(-1, 2, 1), 1, INFINITY, t) \
-            * pochhammer_inverse(_mono(1), 2, INFINITY, t)
-        msum = _inc_sum(
-            t, lambda m: m, lambda m: _mono(m),
-            lambda m: [("lin", m, -1), ("lin", 2 * m - 1, 1), ("inv", m, 1)] if m else [])
+            * pochhammer_inverse(Monomial.q(1), 2, INFINITY, t)
+        msum = ProductSum(lambda m: m, lambda m: [
+            (m, -1, 1), (2 * m - 1, 1, 1), (m, 1, -1)] if m else []).series(t)
         return lhs, pref * msum
 
     def andrews_2(t):
         # alpha=0, beta=q, gamma=-q, z=q
-        lhs = _inc_sum(
-            t, lambda n: n, lambda n: _mono(n),
-            lambda n: [("lin", 2 * n - 1, 1), ("lin", 2 * n, 1), ("inv", 2 * n, 1),
-                       ("inv", 2 * n - 1, -1), ("inv", 2 * n, -1)] if n else [])
-        pref = pochhammer(_mono(1), 1, INFINITY, t) \
+        lhs = ProductSum(lambda n: n, lambda n: [
+            (2 * n - 1, 1, 1), (2 * n, 1, 1), (2 * n, 1, -1), (2 * n - 1, -1, -1),
+            (2 * n, -1, -1)] if n else []).series(t)
+        pref = pochhammer(Monomial.q(1), 1, INFINITY, t) \
             * pochhammer_inverse(Monomial(-1, 1, 1), 1, INFINITY, t) \
-            * pochhammer_inverse(_mono(1), 2, INFINITY, t)
-        start = QSeries.constant(2, 1, t)  # (-1; q)_m jumps to 2 at m = 1
-        msum = QSeries.one(1, t) + _inc_sum(
-            t, lambda m: m, lambda m: _mono(m),
-            lambda m: ([("lin", m - 1, -1)] if m > 1 else []) + [("lin", 2 * m - 1, 1),
-                                                                 ("inv", m, 1)],
-            start_value=start, start=1)
+            * pochhammer_inverse(Monomial.q(1), 2, INFINITY, t)
+        # (-1; q)_m jumps to 2 at m = 1
+        msum = ProductSum(lambda m: m, lambda m: ([(m - 1, -1, 1)] if m > 1 else [])
+                          + [(2 * m - 1, 1, 1), (m, 1, -1)],
+                          lambda m: 2, start=1, constant=1).series(t)
         return lhs, pref * msum
 
     def andrews_3(t):
         # alpha=q, beta=-q, gamma=0, z=q^2
-        lhs = _inc_sum(
-            t, lambda n: 2 * n, lambda n: _mono(2 * n),
-            lambda n: [("lin", 2 * n - 1, 1), ("lin", 2 * n - 1, -1), ("lin", 2 * n, -1),
-                       ("inv", 2 * n, 1)] if n else [])
+        lhs = ProductSum(lambda n: 2 * n, lambda n: [
+            (2 * n - 1, 1, 1), (2 * n - 1, -1, 1), (2 * n, -1, 1),
+            (2 * n, 1, -1)] if n else []).series(t)
         pref = pochhammer(Monomial(-1, 1, 1), 1, INFINITY, t) \
-            * pochhammer(_mono(3), 2, INFINITY, t) \
-            * pochhammer_inverse(_mono(2), 2, INFINITY, t)
-        msum = _inc_sum(
-            t, lambda m: m, lambda m: _mono(m, -1 if m % 2 else 1),
-            lambda m: [("lin", 2 * m, 1), ("inv", m, 1), ("inv", 2 * m + 1, 1)] if m else [])
+            * pochhammer(Monomial.q(3), 2, INFINITY, t) \
+            * pochhammer_inverse(Monomial.q(2), 2, INFINITY, t)
+        msum = ProductSum(lambda m: m, lambda m: [
+            (2 * m, 1, 1), (m, 1, -1), (2 * m + 1, 1, -1)] if m else [],
+            lambda m: -1 if m % 2 else 1).series(t)
         return lhs, pref * msum
 
     def andrews_4(t):
         # base q^2: alpha=0, beta=q^2, gamma=-q^4, z=q^2
-        lhs = _inc_sum(
-            t, lambda n: 2 * n, lambda n: _mono(2 * n),
-            lambda n: [("lin", 4 * n - 2, 1), ("lin", 4 * n, 1), ("inv", 4 * n, 1),
-                       ("inv", 4 * n, -1), ("inv", 4 * n + 2, -1)] if n else [])
-        pref = pochhammer(_mono(2), 2, INFINITY, t) \
+        lhs = ProductSum(lambda n: 2 * n, lambda n: [
+            (4 * n - 2, 1, 1), (4 * n, 1, 1), (4 * n, 1, -1), (4 * n, -1, -1),
+            (4 * n + 2, -1, -1)] if n else []).series(t)
+        pref = pochhammer(Monomial.q(2), 2, INFINITY, t) \
             * pochhammer_inverse(Monomial(-1, 4, 1), 2, INFINITY, t) \
-            * pochhammer_inverse(_mono(2), 4, INFINITY, t)
-        msum = _inc_sum(
-            t, lambda m: 2 * m, lambda m: _mono(2 * m),
-            lambda m: [("lin", 2 * m, -1), ("lin", 4 * m - 2, 1), ("inv", 2 * m, 1)]
-            if m else [])
+            * pochhammer_inverse(Monomial.q(2), 4, INFINITY, t)
+        msum = ProductSum(lambda m: 2 * m, lambda m: [
+            (2 * m, -1, 1), (4 * m - 2, 1, 1), (2 * m, 1, -1)] if m else []).series(t)
         return lhs, pref * msum
 
     def fine_1(t):
         # alpha=1, beta=0, z=q
-        lhs = _inc_sum(
-            t, lambda m: m, lambda m: _mono(m),
-            lambda m: [("lin", 2 * m - 1, 1), ("lin", 2 * m, 1), ("inv", m, 1),
-                       ("inv", m, 1)] if m else [])
+        lhs = ProductSum(lambda m: m, lambda m: [
+            (2 * m - 1, 1, 1), (2 * m, 1, 1), (m, 1, -1), (m, 1, -1)] if m else []).series(t)
         tail = {}
         k = 0
         while k * (3 * k + 3) // 2 < t:
             tail[k * (3 * k + 3) // 2] = -1 if k % 2 else 1
             k += 1
-        rhs = pochhammer_inverse(_mono(1), 1, INFINITY, t) * QSeries.make(1, t, tail)
+        rhs = pochhammer_inverse(Monomial.q(1), 1, INFINITY, t) * QSeries.make(1, t, tail)
         return lhs, rhs
 
     def fine_2(t):
         # alpha=q, beta=0, z=q
-        lhs = _inc_sum(
-            t, lambda m: m, lambda m: _mono(m),
-            lambda m: [("lin", 2 * m, 1), ("lin", 2 * m + 1, 1), ("inv", m + 1, 1),
-                       ("inv", m, 1)] if m else [])
+        lhs = ProductSum(lambda m: m, lambda m: [
+            (2 * m, 1, 1), (2 * m + 1, 1, 1), (m + 1, 1, -1), (m, 1, -1)] if m else []
+        ).series(t)
         tail = {}
         k = 0
         while 2 * k + k * (3 * k + 1) // 2 < t:
             tail[2 * k + k * (3 * k + 1) // 2] = -1 if k % 2 else 1
             k += 1
-        rhs = pochhammer_inverse(_mono(1), 1, INFINITY, t) * QSeries.make(1, t, tail)
+        rhs = pochhammer_inverse(Monomial.q(1), 1, INFINITY, t) * QSeries.make(1, t, tail)
         return lhs, rhs
 
     def fine_2071(t):
         # base q^2 with argument q; the even/odd split behind nu_star's
-        # terminating form
-        lhs = _inc_sum(t, lambda n: n, lambda n: _mono(n),
-                       lambda n: [("inv", 2 * n + 1, -1)] if n else [])
-        lhs = lhs * _geom_inv(1, t, -1)
-        rhs = _inc_sum(t, lambda n: 2 * n, lambda n: _mono(2 * n),
-                       lambda n: [("lin", 4 * n - 2, 1)] if n else [])
+        # terminating form (the overall 1/(1 + q) enters at n = 0)
+        lhs = ProductSum(lambda n: n, lambda n: [(2 * n + 1, -1, -1)]).series(t)
+        rhs = ProductSum(lambda n: 2 * n, lambda n: [(4 * n - 2, 1, 1)] if n else []).series(t)
         return lhs, rhs
 
     def fine_2072(t):
         # base -q with argument q; the alternating split behind phi_star's
-        # terminating form
-        lhs = _inc_sum(t, lambda n: n, lambda n: _mono(n),
-                       lambda n: [("lin", n, 1 if n % 2 else -1)] if n else [])
-        lhs = QSeries.make(1, t, {0: 1, 1: -1}) * lhs
-        rhs = _inc_sum(t, lambda n: 2 * n, lambda n: _mono(2 * n, -1 if n % 2 else 1),
-                       lambda n: [("inv", 2 * n + 1, 1)] if n else [])
+        # terminating form (the overall 1 - q enters at n = 0)
+        lhs = ProductSum(lambda n: n, lambda n: [(n, 1 if n % 2 else -1, 1)] if n
+                         else [(1, 1, 1)]).series(t)
+        rhs = ProductSum(lambda n: 2 * n, lambda n: [(2 * n + 1, 1, -1)] if n else [],
+                         lambda n: -1 if n % 2 else 1).series(t)
         return lhs, rhs
 
     for name, builder, desc in (

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .cyclo import CycloNumber
 from .errors import DivergenceError, DomainError, FieldMismatchError
@@ -38,6 +38,10 @@ def _merge_field(ka: int, kb: int) -> int:
     if kb % ka == 0:
         return kb
     raise FieldMismatchError(f"coefficient fields of order {ka} and {kb} are incompatible")
+
+
+def _field_of(c: Coeff) -> int:
+    return c.order if isinstance(c, CycloNumber) else 1
 
 
 def coeff_pow(c: Coeff, k: int) -> Coeff:
@@ -78,7 +82,7 @@ class Monomial:
         return Fraction(self.num, self.den)
 
     def field_order(self) -> int:
-        return self.coeff.order if isinstance(self.coeff, CycloNumber) else 1
+        return _field_of(self.coeff)
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,6 +98,8 @@ class QSeries:
     def __post_init__(self):
         if self.denom < 1:
             raise DomainError("series denominator must be >= 1")
+        if self.trunc < 0 and not self.laurent:
+            raise DomainError(f"truncation must be nonnegative, got {self.trunc}")
         for n, c in self.coeffs.items():
             if n >= self.trunc:
                 raise DomainError(f"stored exponent {n} not below truncation {self.trunc}")
@@ -121,8 +127,7 @@ class QSeries:
 
     @staticmethod
     def constant(value: Coeff, denom: int = 1, trunc: int = 1) -> "QSeries":
-        k = value.order if isinstance(value, CycloNumber) else 1
-        return QSeries.make(denom, trunc, {0: value}, k)
+        return QSeries.make(denom, trunc, {0: value}, _field_of(value))
 
     @staticmethod
     def from_monomial(m: Monomial, trunc: int, denom: Optional[int] = None) -> "QSeries":
@@ -310,14 +315,41 @@ def _poch_denominator(z: Monomial, b: Monomial, denom: Optional[int]) -> int:
     return _lcm(d, b.den)
 
 
-def pochhammer(z: Monomial, step, n, trunc: int, denom: Optional[int] = None) -> QSeries:
-    """(z; b)_n = prod_(k=1..n) (1 - z b^(k-1)) with monomial base b.
+def mul_linear(a: list, e: int, c: Coeff = 1) -> None:
+    """a <- a * (1 - c q^e) in place, for a dense coefficient list truncated
+    at len(a)."""
+    if e == 0:
+        unit = 1 - c
+        a[:] = [x * unit for x in a]
+        return
+    for i in range(len(a) - 1, e - 1, -1):
+        x = a[i - e]
+        if x:
+            a[i] = a[i] - c * x
 
-    ``step`` is either a rational r (base q^r) or a Monomial such as -q.
-    ``n`` is a nonnegative integer or INFINITY.  Infinite products require
-    growing factor exponents (step exponent > 0), unless z is already beyond
-    the truncation or z is the zero monomial.
-    """
+
+def div_linear(a: list, e: int, c: Coeff = 1) -> None:
+    """a <- a / (1 - c q^e) in place, the inverse of ``mul_linear``."""
+    if e == 0:
+        unit = 1 - c
+        if not unit:
+            raise ZeroDivisionError("factor (1 - 1) is not invertible")
+        inv = unit.inv() if isinstance(unit, CycloNumber) else Fraction(1) / Fraction(unit)
+        a[:] = [x * inv for x in a]
+        return
+    for i in range(e, len(a)):
+        x = a[i - e]
+        if x:
+            a[i] = a[i] + c * x
+
+
+def _dense_one(trunc: int) -> list:
+    return [1] + [0] * (trunc - 1) if trunc > 0 else []
+
+
+def _pochhammer_dense(z: Monomial, step, n, trunc: int, denom: Optional[int],
+                      inverse: bool) -> QSeries:
+    """(z; b)_n, or its inverse, applied factor by factor to a dense list."""
     b = _step_monomial(step)
     d = _poch_denominator(z, b, denom)
     horizon = Fraction(trunc, d)
@@ -325,7 +357,8 @@ def pochhammer(z: Monomial, step, n, trunc: int, denom: Optional[int] = None) ->
         return QSeries.one(d, trunc)
     if n is INFINITY and b.exponent <= 0 and z.exponent < horizon:
         raise DivergenceError("nonterminating infinite product: factor exponents do not grow")
-    out = QSeries.one(d, trunc)
+    out = _dense_one(trunc)
+    field = 1
     cap = ITERATION_CAP_FACTOR * trunc * d + 16
     coeff, expo, k = z.coeff, z.exponent, 0
     while n is INFINITY or k < n:
@@ -337,57 +370,119 @@ def pochhammer(z: Monomial, step, n, trunc: int, denom: Optional[int] = None) ->
             continue
         if expo < 0:
             raise DomainError("pochhammer factor with negative exponent")
-        factor = QSeries.one(d, trunc) - QSeries.from_monomial(Monomial.q(expo, coeff), trunc, d)
-        out = out * factor
-        if out.is_zero() and n is INFINITY:
-            break
+        field = _merge_field(field, _field_of(coeff))
+        e = expo.numerator * (d // expo.denominator)
+        if inverse:
+            div_linear(out, e, coeff)
+        else:
+            mul_linear(out, e, coeff)
+            if n is INFINITY and not any(out):
+                break
         coeff, expo, k = coeff * b.coeff, expo + b.exponent, k + 1
         if k > cap:
-            raise DivergenceError("pochhammer exceeded its iteration cap")
-    return out
+            name = "pochhammer_inverse" if inverse else "pochhammer"
+            raise DivergenceError(f"{name} exceeded its iteration cap")
+    return QSeries.make(d, trunc, dict(enumerate(out)), field)
+
+
+def pochhammer(z: Monomial, step, n, trunc: int, denom: Optional[int] = None) -> QSeries:
+    """(z; b)_n = prod_(k=1..n) (1 - z b^(k-1)) with monomial base b.
+
+    ``step`` is either a rational r (base q^r) or a Monomial such as -q.
+    ``n`` is a nonnegative integer or INFINITY.  Infinite products require
+    growing factor exponents (step exponent > 0), unless z is already beyond
+    the truncation or z is the zero monomial.
+    """
+    return _pochhammer_dense(z, step, n, trunc, denom, inverse=False)
 
 
 def pochhammer_inverse(z: Monomial, step, n, trunc: int, denom: Optional[int] = None) -> QSeries:
-    """1 / (z; b)_n expanded factor-by-factor through geometric series."""
-    b = _step_monomial(step)
-    d = _poch_denominator(z, b, denom)
-    horizon = Fraction(trunc, d)
-    if not z.coeff:
-        return QSeries.one(d, trunc)
-    if n is INFINITY and b.exponent <= 0 and z.exponent < horizon:
-        raise DivergenceError("nonterminating infinite product: factor exponents do not grow")
-    out = QSeries.one(d, trunc)
-    cap = ITERATION_CAP_FACTOR * trunc * d + 16
-    coeff, expo, k = z.coeff, z.exponent, 0
-    while n is INFINITY or k < n:
-        if expo >= horizon:
-            if b.exponent >= 0:
-                break
+    """1 / (z; b)_n, dividing out one factor at a time."""
+    return _pochhammer_dense(z, step, n, trunc, denom, inverse=True)
+
+
+# ---------------------------------------------------------------------------
+# Declarative sums: one spec per series form
+# ---------------------------------------------------------------------------
+
+def _one(n: int) -> int:
+    return 1
+
+
+@dataclass(frozen=True)
+class ProductSum:
+    """constant + sum_(n>=start) coeff(n) q^lead(n) R_n over a running product.
+
+    R_(start-1) = 1 and R_n = R_(n-1) * prod (1 - c q^e)^s over the triples
+    (e, c, s) in ``factors(n)``, s = +1 for a numerator factor and -1 for a
+    denominator factor.  The formal sum stops at the first n whose lead
+    reaches the truncation, so lead(n) must be nonnegative and must not
+    decrease.
+    """
+
+    lead: Callable[[int], int]
+    factors: Callable[[int], Sequence[tuple]]
+    coeff: Callable[[int], Coeff] = _one
+    start: int = 0
+    constant: Coeff = 0
+
+    def series(self, trunc: int) -> QSeries:
+        total = [0] * max(trunc, 0)
+        field = _field_of(self.constant)
+        if self.constant and trunc > 0:
+            total[0] = self.constant
+        run = _dense_one(trunc)
+        n = self.start
+        while (lead := self.lead(n)) < trunc:
+            del run[trunc - lead:]  # later terms start no lower than this one
+            for e, c, s in self.factors(n):
+                field = _merge_field(field, _field_of(c))
+                (mul_linear if s > 0 else div_linear)(run, e, c)
+            c = self.coeff(n)
+            field = _merge_field(field, _field_of(c))
+            for i, x in enumerate(run):
+                if x:
+                    total[lead + i] += c * x
+            n += 1
+        return QSeries.make(1, trunc, dict(enumerate(total)), field)
+
+
+@dataclass(frozen=True)
+class DoubleSum:
+    """constant + sign * sum_(k>=n>=0) (-1)^n [k n]_(q^step) q^exponent(k, n).
+
+    ``kmin(k)`` bounds the exponents of the k-th group from below; the formal
+    sum stops at the first k with kmin(k) beyond the truncation.
+    """
+
+    kmin: Callable[[int], int]
+    exponent: Callable[[int, int], int]
+    step: int = 1
+    sign: int = 1
+    constant: int = 1
+
+    def series(self, trunc: int) -> QSeries:
+        total = {0: self.constant} if self.constant and trunc > 0 else {}
+        rows = q_binomial_rows(trunc, self.step)
+        row = next(rows)
+        k = 0
+        while self.kmin(k) < trunc:
+            for n in range(0, k + 1):
+                e0 = self.exponent(k, n)
+                if e0 >= trunc:
+                    continue
+                sgn = -self.sign if n % 2 else self.sign
+                for e, c in row[n].items():
+                    ee = e0 + e
+                    if ee < trunc:
+                        s = total.get(ee, 0) + sgn * c
+                        if s:
+                            total[ee] = s
+                        else:
+                            total.pop(ee, None)
             k += 1
-            coeff, expo = coeff * b.coeff, expo + b.exponent
-            continue
-        if expo < 0:
-            raise DomainError("pochhammer factor with negative exponent")
-        if expo == 0:
-            unit = 1 - coeff
-            if not unit:
-                raise ZeroDivisionError("factor (1 - 1) is not invertible")
-            inv = unit.inv() if isinstance(unit, CycloNumber) else Fraction(1) / Fraction(unit)
-            out = out * inv
-        else:
-            en = expo.numerator * (d // expo.denominator)
-            geom: dict = {}
-            j, cj = 0, 1
-            while j * en < trunc:
-                geom[j * en] = cj
-                cj = cj * coeff
-                j += 1
-            kk = coeff.order if isinstance(coeff, CycloNumber) else 1
-            out = out * QSeries.make(d, trunc, geom, kk)
-        coeff, expo, k = coeff * b.coeff, expo + b.exponent, k + 1
-        if k > cap:
-            raise DivergenceError("pochhammer_inverse exceeded its iteration cap")
-    return out
+            row = next(rows)
+        return QSeries.make(1, trunc, total)
 
 
 def series_inverse(a: QSeries) -> QSeries:

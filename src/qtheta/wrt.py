@@ -269,7 +269,9 @@ def wrt_invariant(manifold: str, n_val: int, method: str = "eichler_limit") -> W
     thm = get_theorem(manifold)
     if method not in METHODS:
         raise UnsupportedMethodError(f"unknown method {method!r}; choose from {METHODS}")
-    if n_val < 2:
+    if n_val < 1:
+        raise DomainError(f"N must be at least 2, got {n_val}")
+    if n_val == 1:
         raise DegenerateCaseError("N = 1 makes the prefactor vanish; see degenerate_probe()")
     if thm.vanishes(n_val):
         raise DegenerateCaseError(
@@ -372,11 +374,8 @@ def degenerate_probe() -> dict:
     """
     le_sum = catalog.value_at_root("chi0_star", 1, 0, "qseries")  # includes the factor
     radial = catalog.value_at_root("chi0_star", 1, 0, "eichler")
-    raw_sum = catalog._chi0_star_le_sum_at_root(1, 0)
-    raw_product = 1 + catalog._terminating_product_sum(
-        1, 0, numerator_factor=lambda m: [(m, -1)] if m else [],
-        denominator_factor=lambda m: [], term_monomial=lambda m: CycloNumber.one(),
-        cap=8)
+    raw_sum = catalog.variant_at_root("chi0_star", "le_sum", 1, 0)
+    raw_product = catalog.variant_at_root("chi0_star", "le_product", 1, 0)
     return {
         "radial_limit": radial,
         "le_sum_raw": raw_sum,

@@ -1,16 +1,20 @@
 """Catalog surface: expansions, variants, Bailey machinery, Jones values,
 root-of-unity routes."""
 
+import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qtheta import catalog
 from qtheta.catalog import (bailey_reduced_identity, beta_from_alpha,
                             jones_trefoil, value_at_root, verify_bailey_pair)
+from qtheta.cyclo import CycloNumber
 from qtheta.errors import (DivergenceError, UnknownIdError, UnsupportedMethodError)
-from qtheta.identities import verify_fine_andrews_specializations
-from qtheta.series import Monomial, pochhammer_inverse
+from qtheta.identities import get_identity, verify_fine_andrews_specializations
+from qtheta.series import Monomial, ProductSum, pochhammer_inverse
 
 
 def brute_chi0(trunc):
@@ -77,10 +81,12 @@ def test_all_variants_agree_small():
 
 
 def test_phase_carrying_field_order():
-    assert catalog.get_function("chi3_star").coefficient_field_order == 12
-    assert catalog.get_function("rho3_star").coefficient_field_order == 12
-    s = catalog.expand("chi3_star", 20, "false_theta")
-    assert s.field_order == 12
+    for fid in ("chi3_star", "rho3_star"):
+        for variant in ("defining", "false_theta"):
+            assert catalog.expand(fid, 20, variant).field_order == 12
+    # the defining series of chi3 and rho3 are rational
+    assert catalog.expand("chi3", 20).field_order == 1
+    assert catalog.expand("rho3", 20).field_order == 1
 
 
 # -- Bailey machinery ---------------------------------------------------------
@@ -139,7 +145,7 @@ def test_le_sum_carries_factor_two():
     # radial limit = 2 * plain-sum value, at several roots
     for n in (2, 3, 5, 8):
         radial = value_at_root("chi0_star", n, 1, "eichler")
-        raw = catalog._chi0_star_le_sum_at_root(n, 1)
+        raw = catalog.variant_at_root("chi0_star", "le_sum", n, 1)
         assert radial == 2 * raw
         assert value_at_root("chi0_star", n, 1, "qseries") == radial
 
@@ -175,6 +181,49 @@ def test_unsupported_routes_error():
         value_at_root("I12_star", 4, 1, "qseries")
     with pytest.raises((UnsupportedMethodError, DivergenceError)):
         value_at_root("phi6_star", 4, 1, "qseries")  # even-order point
+
+
+def test_terminating_root_engine():
+    # 1 + zeta + 0 forever at zeta = i: the factor 1 - q^4 enters at n = 2
+    z = CycloNumber.root_of_unity(4)
+    stops = ProductSum(lambda n: n, lambda n: [(4, 1, 1)] if n == 2 else [])
+    assert catalog._terminating_product_sum(4, 1, stops) == 1 + z
+    # 1 + q^0 never vanishes: past the cap the sum is reported as nonterminating
+    never = ProductSum(lambda n: 0, lambda n: [(0, -1, 1)])
+    with pytest.raises(DivergenceError):
+        catalog._terminating_product_sum(4, 1, never, cap=20)
+
+
+def _routes():
+    out = []
+    for fid in catalog.function_ids():
+        fn = catalog.get_function(fid)
+        if fn.qseries is not None:
+            out.append((fid, "qseries"))
+        if "surgery" in fn.variants:
+            out.append((fid, "surgery"))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_routes()), st.integers(1, 16), st.data())
+def test_exact_routes_agree_with_eichler(route, m, data):
+    fid, method = route
+    j = data.draw(st.sampled_from([j for j in range(m) if math.gcd(j, m) == 1]))
+    try:
+        got = value_at_root(fid, m, j, method)
+    except (DivergenceError, UnsupportedMethodError):
+        return
+    assert got == value_at_root(fid, m, j, "eichler")
+
+
+def test_identity_registry_is_immutable():
+    rec = get_identity("prop_5th_chi0")
+    fresh = dataclasses.replace(rec)
+    assert catalog.verify_identity("prop_5th_chi0").passed
+    assert get_identity("prop_5th_chi0") == fresh
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.description = "changed"
 
 
 def test_surgery_series_op():

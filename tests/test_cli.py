@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from qtheta.cli import main
 
 
@@ -126,3 +128,43 @@ def test_installed_entry_point():
                            "chi24_2", "1"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "-32"
+
+
+def test_cache_key_holds_resolved_order(tmp_path, monkeypatch):
+    cache = str(tmp_path / "cache")
+    monkeypatch.setenv("QTHETA_ORDER", "5")
+    code, out5, _ = run_cli("expand", "chi0", "--cache", cache)
+    assert code == 0 and "T=5;" in out5
+    monkeypatch.setenv("QTHETA_ORDER", "12")
+    code, out12, _ = run_cli("expand", "chi0", "--cache", cache)
+    assert code == 0 and out12.startswith("D=1; T=12; K=1;")
+
+
+def test_corrupt_cache_file_is_a_miss(tmp_path):
+    cache = tmp_path / "cache"
+    code, want, _ = run_cli("lvalue", "chi60_111", "1", "--cache", str(cache))
+    [entry] = cache.glob("*.json")
+    entry.write_text(entry.read_text()[:25])  # a half-written file
+    code, out, _ = run_cli("lvalue", "chi60_111", "1", "--cache", str(cache))
+    assert code == 0 and out == want
+    json.loads(entry.read_text())  # overwritten with a whole entry
+    assert [p.name for p in cache.iterdir()] == [entry.name]
+
+
+def test_program_errors_are_not_usage_errors(monkeypatch):
+    from qtheta import lfunc
+
+    def broken(*args, **kw):
+        raise ValueError("a bug, not a usage error")
+
+    monkeypatch.setattr(lfunc, "l_value", broken)
+    with pytest.raises(ValueError):
+        run_cli("lvalue", "chi60_111", "1")
+
+
+def test_bad_sizes_exit_two(monkeypatch):
+    code, out, err = run_cli("expand", "chi0", "--order", "-3")
+    assert code == 2 and out == "" and "truncation must be nonnegative" in err
+    monkeypatch.setenv("QTHETA_ORDER", "twelve")
+    code, _, err = run_cli("expand", "chi0")
+    assert code == 2 and "integer" in err

@@ -5,11 +5,9 @@ import random
 from fractions import Fraction
 
 import mpmath
-import pytest
 
-from qtheta.cyclo import (CycloNumber, ZERO_FOREVER, cyclotomic_polynomial,
-                          euler_phi, eval_terminating, root_weighted_sum)
-from qtheta.errors import DivergenceError
+from qtheta.cyclo import (CycloNumber, cyclotomic_polynomial, euler_phi,
+                          root_weighted_sum)
 
 
 def test_i_squared():
@@ -80,20 +78,6 @@ def test_to_complex_precision():
 def test_weighted_sum_sqrt2():
     half_sqrt2 = root_weighted_sum(8, [(1, 1), (7, 1)], 2)
     assert abs(complex(half_sqrt2.to_complex(64)) - math.sqrt(2) / 2) < 1e-15
-
-
-def test_eval_terminating_engine():
-    # 1 + zeta + 0 forever at zeta = i
-    z = CycloNumber.root_of_unity(4)
-
-    def terms():
-        yield CycloNumber.one()
-        yield z
-        yield ZERO_FOREVER
-
-    assert eval_terminating(terms(), 10) == 1 + z
-    with pytest.raises(DivergenceError):
-        eval_terminating(iter([CycloNumber.one()] * 50), 20)
 
 
 def test_terminating_matches_float_summation():

@@ -54,6 +54,14 @@ def test_degenerate_cases():
         cross_verify("sigma_2_3_5", [1])
 
 
+def test_root_order_below_one_rejected():
+    for n in (0, -4):
+        with pytest.raises(DomainError, match="at least 2"):
+            wrt_invariant("sigma_2_3_5", n)
+    with pytest.raises(DegenerateCaseError, match="N = 1"):
+        wrt_invariant("sigma_2_3_5", 1)
+
+
 def test_degenerate_probe_documents_the_constant_gap():
     probe = degenerate_probe()
     assert probe["radial_limit"] == 2
