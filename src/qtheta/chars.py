@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import mpmath
+from mpmath.libmp import to_fixed
 
 from .cyclo import CycloNumber, root_weighted_sum
 from .errors import DomainError, PrecisionError, UnknownIdError
@@ -264,6 +265,65 @@ def false_theta_radial_limit(chi: PeriodicFunction, denominator: int, shift: int
     return root_weighted_sum(order, terms, 2 * q_period)
 
 
+_RADIAL_CUTOFF = 140      # a term is dropped once t(n^2+shift)/D exceeds this
+_RADIAL_GUARD_BITS = 64   # fixed-point bits beyond the working precision
+
+
+def _radial_classes(chi: PeriodicFunction, denominator: int, shift: int,
+                    root_order: int, root_power: int) -> tuple[int, list]:
+    """(L, [(r, phase_r)]): L = lcm(2P, M*D) is a period of
+    n -> chi(n) zeta^(j(n^2+shift)/D), and phase_r is its value on the residue
+    class r mod L, for every r in [0, L) with chi(r) != 0."""
+    md = root_order * denominator
+    period = math.lcm(chi.modulus, md)
+    j = root_power % md
+    return period, [(r, chi(r) * mpmath.expjpi(mpmath.mpf(2 * j * (r * r + shift)) / md))
+                    for r in range(period) if chi(r)]
+
+
+def _radial_max_exponent(t: mpmath.mpf, denominator: int, shift: int) -> int:
+    """Largest integer e = n^2+shift whose term is kept at level t, with the
+    test t*e/D > 140 rounded at working precision."""
+    def dropped(e: int) -> bool:
+        q = Fraction(e, denominator)
+        return t * mpmath.mpf(q.numerator) / q.denominator > _RADIAL_CUTOFF
+
+    e = int(mpmath.floor(_RADIAL_CUTOFF * denominator / t))
+    while dropped(e):
+        e -= 1
+    while not dropped(e + 1):
+        e += 1
+    return e
+
+
+def _radial_level_sum(classes: list, period: int, denominator: int, shift: int,
+                      t: mpmath.mpf) -> mpmath.mpc:
+    """sum_(n>=0) chi(n) e^(-t(n^2+shift)/D) zeta^(j(n^2+shift)/D) as
+    sum_r phase_r S_r(t), where S_r(t) = sum_k e^(-t((r+kL)^2+shift)/D) runs
+    on integers scaled by 2^bits: with a_k the k-th term, a_(k+1) = a_k b_k
+    and b_(k+1) = b_k g, where g = e^(-2tL^2/D)."""
+    e_max = _radial_max_exponent(t, denominator, shift)
+    bits = mpmath.mp.prec + _RADIAL_GUARD_BITS
+    total = mpmath.mpc(0)
+    with mpmath.workprec(bits):
+        def fixed(x: int) -> int:  # e^(-t x / D) scaled by 2^bits
+            return to_fixed(mpmath.exp(-t * x / denominator)._mpf_, bits)
+        g = fixed(2 * period * period)
+        for r, phase in classes:
+            e = r * r + shift
+            if e > e_max:
+                continue
+            a, b, n, s = fixed(e), fixed(2 * r * period + period * period), r, 0
+            while e <= e_max:
+                s += a
+                a = (a * b) >> bits
+                b = (b * g) >> bits
+                n += period
+                e = n * n + shift
+            total += phase * mpmath.mpf((s, -bits))
+    return total
+
+
 @lru_cache(maxsize=512)
 def false_theta_radial_numeric(chi: PeriodicFunction, denominator: int, shift: int,
                                root_order: int, root_power: int = 1,
@@ -273,40 +333,28 @@ def false_theta_radial_numeric(chi: PeriodicFunction, denominator: int, shift: i
     Independent of the exact Bernoulli formula; used as a cross-check where no
     terminating q-series evaluation exists.  The extrapolation ladder halves t
     and is repeated with a smaller starting t until two answers agree within
-    tolerance/4; failure raises PrecisionError.
+    tolerance/4; failure raises PrecisionError.  Works at 70 digits; each level
+    t = 0.001/2^k is summed once per call by residue classes (see
+    ``_radial_level_sum``) and shared by the ladders that use it.
     """
-    m = root_order
-    j = root_power % (root_order * denominator)
     levels = 11
-
-    def ladder(t0: mpmath.mpf) -> mpmath.mpc:
-        vals = []
-        for lev in range(levels):
-            t = t0 / 2 ** lev
-            tot = mpmath.mpc(0)
-            n = 0
-            while True:
-                c = chi(n)
-                if c:
-                    e = Fraction(n * n + shift, denominator)
-                    te = t * mpmath.mpf(e.numerator) / e.denominator
-                    if te > 140:
-                        break
-                    tot += c * mpmath.exp(-te) * mpmath.expjpi(
-                        mpmath.mpf(2 * j * e.numerator) / (e.denominator * m))
-                n += 1
-            vals.append(tot)
-        arr = vals
-        for k in range(1, levels):
-            arr = [(2 ** k * arr[i + 1] - arr[i]) / (2 ** k - 1) for i in range(len(arr) - 1)]
-        return arr[0]
-
     with mpmath.workdps(70):
-        t0 = mpmath.mpf("0.001")
-        prev = ladder(t0)
-        for _ in range(3):
-            t0 = t0 / 2
-            cur = ladder(t0)
+        period, classes = _radial_classes(chi, denominator, shift, root_order, root_power)
+        t_start = mpmath.mpf("0.001")
+        level_sums: list[mpmath.mpc] = []  # at t = t_start / 2^k
+
+        def ladder(first: int) -> mpmath.mpc:
+            while len(level_sums) < first + levels:
+                level_sums.append(_radial_level_sum(classes, period, denominator, shift,
+                                                    t_start / 2 ** len(level_sums)))
+            arr = level_sums[first:first + levels]
+            for k in range(1, levels):
+                arr = [(2 ** k * arr[i + 1] - arr[i]) / (2 ** k - 1) for i in range(len(arr) - 1)]
+            return arr[0]
+
+        prev = ladder(0)
+        for first in range(1, 4):
+            cur = ladder(first)
             if abs(cur - prev) < tolerance / 4:
                 return cur
             prev = cur

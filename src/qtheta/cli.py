@@ -105,14 +105,22 @@ def _emit(payload: dict, as_json: bool, lines: list[str]):
             print(line)
 
 
-def _payload(command: str, status: str, results, elapsed: float) -> dict:
+def _elapsed_ms(start: float) -> float:
+    return round((time.perf_counter() - start) * 1000, 3)
+
+
+def _payload(command: str, status: str, results, start: float) -> dict:
+    """The JSON envelope of a computed answer; ``cached`` is false here and
+    set to true, with the hit's own ``elapsed_ms``, when a cache hit replays
+    it."""
     return {
         "schema": 1,
         "tool": "qtheta",
         "version": __version__,
         "command": command,
         "status": status,
-        "elapsed_ms": round(elapsed * 1000, 3),
+        "cached": False,
+        "elapsed_ms": _elapsed_ms(start),
         "results": results,
     }
 
@@ -124,7 +132,7 @@ def _report_lines(reports: list[VerificationReport]) -> list[str]:
 # -- subcommand implementations --------------------------------------------------
 
 def _cmd_expand(args, cfg) -> tuple[int, dict, list[str]]:
-    order = args.order or cfg["order"]
+    order = cfg["order"] if args.order is None else args.order
     series = catalog.expand(args.id, order, args.variant)
     text = series.text()
     result = {"id": args.id, "variant": args.variant or "defining",
@@ -200,7 +208,7 @@ def _cmd_hatcheck(args, cfg) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_dsl(args, cfg) -> tuple[int, dict, list[str]]:
-    order = args.order or cfg["order"]
+    order = cfg["order"] if args.order is None else args.order
     outcome = dsl.eval_dsl(args.expression, order)
     if isinstance(outcome, VerificationReport):
         return (0 if outcome.passed else 1,
@@ -307,14 +315,16 @@ def main(argv=None) -> int:
                      if k not in ("fn", "json", "cache", "config", "jobs")},
             "config": {k: cfg[k] for k in ("order", "precision_bits")},
         }
+        start = time.perf_counter()
         cached, cache_path = _cache_lookup(cache_dir, cache_key)
         if cached is not None:
-            _emit(cached["payload"], args.json, cached["lines"])
+            payload = dict(cached["payload"], cached=True,
+                           elapsed_ms=_elapsed_ms(start))
+            _emit(payload, args.json, cached["lines"])
             return cached["exit_code"]
-        start = time.time()
         code, results, lines = args.fn(args, cfg)
         payload = _payload(args.command, "pass" if code == 0 else "fail",
-                           results, time.time() - start)
+                           results, start)
         _cache_store(cache_path, {"exit_code": code, "payload": payload,
                                   "lines": lines})
         _emit(payload, args.json, lines)

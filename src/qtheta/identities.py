@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .errors import UnknownIdError
+from .errors import DomainError, UnknownIdError
 from .report import VerificationReport
 from .series import (INFINITY, Monomial, ProductSum, QSeries, coeff_pow, pochhammer,
                      pochhammer_inverse, selftest_eta_cubed, selftest_euler,
@@ -32,7 +32,12 @@ class IdentityRecord:
     tags: frozenset = frozenset()
 
     def run(self, truncation: Optional[int] = None) -> VerificationReport:
-        rep = self.runner(truncation or self.default_truncation)
+        if truncation is None:
+            truncation = self.default_truncation
+        elif truncation < 1:
+            raise DomainError(f"truncation must be at least 1, got {truncation}: "
+                              f"a check over no coefficients proves nothing")
+        rep = self.runner(truncation)
         rep.id = self.id
         return rep
 

@@ -5,14 +5,16 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from qtheta.chars import (PeriodicFunction, char_combination, character_ids,
+from qtheta.catalog import get_function
+from qtheta.chars import (PeriodicFunction, _radial_classes, _radial_level_sum,
+                          char_combination, character_ids,
                           eichler_tilde_at_integer, eichler_tilde_at_inverse_N,
                           eichler_tilde_series, false_theta_radial_limit,
                           false_theta_radial_numeric, get_character, m_matrix,
                           psi_basis, theorem_s_matrix, theta_numeric,
                           verify_S_transform, verify_T_transform)
 from qtheta.cyclo import CycloNumber
-from qtheta.errors import DomainError
+from qtheta.errors import DomainError, PrecisionError
 
 
 def test_psi_basis_values():
@@ -119,6 +121,43 @@ def test_radial_numeric_agrees_with_exact():
     exact = false_theta_radial_limit(chi, 16, -1, 8, 1)
     approx = false_theta_radial_numeric(chi, 16, -1, 8, 1, 1e-10)
     assert abs(complex(approx) - complex(exact.to_complex(128))) < 1e-10
+
+
+def test_radial_level_sum_matches_direct_sum():
+    # the residue-class fixed-point kernel against the term-by-term sum
+    chi, d, shift, m, j = get_character("psi12_1p5"), 24, -1, 4, 1
+    with mpmath.workdps(70):
+        t = mpmath.mpf("0.001")
+        period, classes = _radial_classes(chi, d, shift, m, j)
+        fast = _radial_level_sum(classes, period, d, shift, t)
+        direct = mpmath.mpc(0)
+        n = 1
+        while t * (n * n + shift) / d <= 140:
+            if chi(n):
+                direct += chi(n) * mpmath.exp(-t * (n * n + shift) / d) * \
+                    mpmath.expjpi(mpmath.mpf(2 * j * (n * n + shift)) / (m * d))
+            n += 1
+        assert abs(fast - direct) < mpmath.mpf(10) ** -50
+
+
+@pytest.mark.parametrize("fn_id,m", [("phi6_star", 2), ("phi6_star", 4),
+                                     ("psi6_star", 4), ("I12_star", 4)])
+def test_radial_numeric_at_radial_only_points(fn_id, m):
+    char_id, d, shift = get_function(fn_id).character
+    chi = get_character(char_id)
+    exact = false_theta_radial_limit(chi, d, shift, m, 1)
+    approx = false_theta_radial_numeric(chi, d, shift, m, 1)
+    assert abs(complex(approx) - complex(exact.to_complex(128))) < 1e-10
+
+
+def test_radial_numeric_unreachable_tolerance_raises():
+    with pytest.raises(PrecisionError):
+        false_theta_radial_numeric(get_character("psi16_1p7"), 16, -1, 8, 1, 1e-80)
+
+
+def test_radial_numeric_is_memoised():
+    assert callable(false_theta_radial_numeric.cache_info)
+    assert callable(false_theta_radial_numeric.cache_clear)
 
 
 def test_m_matrix():

@@ -168,3 +168,26 @@ def test_bad_sizes_exit_two(monkeypatch):
     monkeypatch.setenv("QTHETA_ORDER", "twelve")
     code, _, err = run_cli("expand", "chi0")
     assert code == 2 and "integer" in err
+
+
+def test_expand_order_zero_is_given():
+    code, out, _ = run_cli("expand", "chi0", "--order", "0")
+    assert code == 0 and out.strip() == "D=1; T=0; K=1;"
+
+
+def test_verify_order_zero_exits_two():
+    code, out, err = run_cli("verify", "prop_5th_chi0", "--order", "0")
+    assert code == 2 and out == "" and "truncation must be at least 1" in err
+
+
+def test_cache_hit_is_marked(tmp_path):
+    cache = str(tmp_path / "cache")
+    code1, out1, _ = run_cli("--json", "verify", "prop_3rd_nu", "--order", "40",
+                             "--cache", cache)
+    code2, out2, _ = run_cli("--json", "verify", "prop_3rd_nu", "--order", "40",
+                             "--cache", cache)
+    miss, hit = json.loads(out1), json.loads(out2)
+    assert code1 == code2 == 0
+    assert miss["cached"] is False and hit["cached"] is True
+    assert hit["results"] == miss["results"] and hit["schema"] == 1
+    assert isinstance(hit["elapsed_ms"], float)
