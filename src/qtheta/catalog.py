@@ -32,11 +32,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, sub
 from typing import Callable, Optional
 
 from . import chars
 from .chars import false_theta_radial_limit, false_theta_radial_numeric
-from .cyclo import CycloNumber, _context
+from .cyclo import CycloNumber, _context, ring_is_zero, ring_value
 from .errors import (DivergenceError, DomainError, UnknownIdError,
                      UnsupportedMethodError)
 from .report import VerificationReport
@@ -350,57 +351,97 @@ _build_functions()
 # ---------------------------------------------------------------------------
 # Root-of-unity evaluation
 # ---------------------------------------------------------------------------
+#
+# The engines sum on integer vectors of the group ring Z[x]/(x^R - 1), read
+# at x = zeta_R.  R is the order r = m/gcd(m, j) of the point q = zeta_m^j,
+# times the orders of the roots of unity a spec carries among its constants,
+# if any; c q^e is then a signed monomial s x^a.  A product with a monomial
+# is a rotation of the vector, one with a linear factor 1 - s x^a a
+# rotate-and-subtract, and nothing is reduced on the way.  Beside its vector
+# every engine keeps the field order its value is reported in: the lcm of the
+# orders of the roots that entered the value (zeta^e at its own order, a
+# constant other than +-1 at the order of the field it is written in).  The
+# vector lies on the multiples of R/order, so it is read off once, at the
+# end, as a canonical number of Q(zeta_order) (``cyclo.ring_value``).
 
 def _z(m: int, e: int) -> CycloNumber:
     return CycloNumber.root_of_unity(m, e % m)
 
 
-def _factor_at(m: int, j: int, e: int, c) -> CycloNumber:
-    """1 - c zeta^(j e) at zeta = zeta_m."""
-    z = _z(m, j * e)
-    if c == 1:
-        return 1 - z
-    return 1 + z if c == -1 else 1 - c * z
+def _point(m: int, j: int) -> tuple[int, int]:
+    """(r, jr) with zeta_m^j = zeta_r^jr and gcd(r, jr) = 1."""
+    g = math.gcd(m, j)
+    return m // g, j // g
 
 
-def _vanishes(m: int, j: int, e: int, c) -> bool:
-    """Whether 1 - c zeta^(j e) is zero at zeta = zeta_m, by exponent
-    arithmetic for c = +-1."""
-    if c == 1:
-        return (j * e) % m == 0
-    if c == -1:
-        return (2 * j * e) % (2 * m) == m
-    return not _factor_at(m, j, e, c)
+def _unit(c) -> tuple[int, int, int, int]:
+    """A spec constant c = s zeta_n^k as (s, k, n, o), o the field order it
+    brings into a value: 1 for +-1, else n, the order of its field."""
+    if not isinstance(c, CycloNumber):
+        if c in (1, -1):
+            return int(c), 0, 1, 1
+    elif c.den == 1:
+        ctx = _context(c.order)
+        neg = tuple(-x for x in c.num)
+        for k in range(c.order):
+            pw = ctx.power(k)
+            if pw == c.num or pw == neg:
+                s = 1 if pw == c.num else -1
+                if 2 * k % c.order == 0:  # c = +-1
+                    return (s if k == 0 else -s), 0, 1, 1
+                return s, k, c.order, c.order
+    raise UnsupportedMethodError(f"root engines need constants +-zeta^k, got {c!r}")
 
 
-def _term_at(m: int, j: int, spec: ProductSum, n: int) -> CycloNumber:
-    """coeff(n) zeta^(j lead(n))."""
-    z = _z(m, j * spec.lead(n))
-    c = spec.coeff(n)
-    if c == 1:
-        return z
-    return -z if c == -1 else c * z
+def _vanishes(m: int, j: int, e: int, u) -> bool:
+    """Whether 1 - c q^e is zero at q = zeta_m^j, c given by ``_unit``."""
+    ring = _Ring(m, j, [u])
+    return ring.key(*ring.mono(e, u)[:2]) == 0
 
 
-class _FractionSum:
-    """Accumulates sum a_0/d_0 + a_1/d_1 + ... where the denominator only ever
-    extends multiplicatively; a single inversion happens at the end."""
+class _Ring:
+    """Z[x]/(x^size - 1) for the point zeta_m^j and the given constants."""
 
-    def __init__(self):
-        self.num = CycloNumber.zero()
-        self.den = CycloNumber.one()
+    def __init__(self, m: int, j: int, units=()):
+        self.r, self.jr = _point(m, j)
+        self.size = math.lcm(self.r, *(u[2] for u in units))
 
-    def extend_den(self, f: CycloNumber):
-        if not f:
-            raise DivergenceError("denominator factor vanishes at this root of unity")
-        self.num = self.num * f
-        self.den = self.den * f
+    def order(self, b: int) -> int:
+        """Order of zeta_r^b."""
+        return self.r // math.gcd(self.r, b)
 
-    def add(self, a: CycloNumber):
-        self.num = self.num + a
+    def mono(self, e: int, u) -> tuple[int, int, int]:
+        """c q^e as (s, a, o): s x^a, with o the order it brings into a value."""
+        s, k, n, o = u
+        b = self.jr * e
+        a = (k * (self.size // n) + b * (self.size // self.r)) % self.size
+        return s, a, math.lcm(o, self.order(b))
 
-    def value(self) -> CycloNumber:
-        return self.num * self.den.inv()
+    def key(self, s: int, a: int) -> int:
+        """s x^a as a residue mod 2 size: keys add when monomials multiply, and
+        two monomials are equal at x = zeta_size exactly when their keys are."""
+        return (2 * a + (self.size if s < 0 else 0)) % (2 * self.size)
+
+    def unit_vector(self) -> list[int]:
+        return [1] + [0] * (self.size - 1)
+
+
+def _rot(v: list[int], a: int) -> list[int]:
+    """v x^a."""
+    a %= len(v)
+    return v[-a:] + v[:-a] if a else v
+
+
+def _add_mono(v: list[int], w: list[int], c: int, a: int) -> list[int]:
+    """v + c w x^a for an integer c."""
+    if c == 1 or c == -1:
+        return list(map(add if c > 0 else sub, v, _rot(w, a)))
+    return [x + c * y for x, y in zip(v, _rot(w, a))]
+
+
+def _times_linear(v: list[int], s: int, a: int) -> list[int]:
+    """v (1 - s x^a)."""
+    return _add_mono(v, v, -s, a)
 
 
 def _terminating_product_sum(m: int, j: int, spec: ProductSum,
@@ -418,14 +459,18 @@ def _terminating_product_sum(m: int, j: int, spec: ProductSum,
     are affine in n, so their zero pattern repeats every r steps (r the order
     of the point); once the count is positive over r consecutive steps and no
     lower than r steps before, every later term tends to zero and the sum
-    ends."""
-    r = m // math.gcd(m, j)
+    ends.  The kept terms are summed over the product of the denominator
+    factors, which is divided out once."""
+    r, _ = _point(m, j)
     cap = cap or 10 * m + 40
-    steps = []  # (n, factors(n), count after step n)
+    steps = []  # (n, [(e, unit, s, vanishes)], count after step n)
     count = 0
     for i, n in enumerate(range(spec.start, spec.start + cap)):
-        factors = spec.factors(n)
-        count += sum(s for e, c, s in factors if _vanishes(m, j, e, c))
+        factors = []
+        for e, c, s in spec.factors(n):
+            u = _unit(c)
+            factors.append((e, u, s, _vanishes(m, j, e, u)))
+        count += sum(s for _, _, s, zero in factors if zero)
         if count < 0:
             raise DivergenceError("denominator factor vanishes at this root of unity")
         steps.append((n, factors, count))
@@ -436,125 +481,186 @@ def _terminating_product_sum(m: int, j: int, spec: ProductSum,
         raise DivergenceError(f"no terminating factor within cap {cap} terms")
     while steps and steps[-1][2]:
         steps.pop()  # terms that tend to zero
-    acc = _FractionSum()
-    if spec.constant:
-        acc.add(CycloNumber.from_rational(spec.constant))
-    num = CycloNumber.one()
+    coeffs = {n: _unit(spec.coeff(n)) for n, _, count in steps if not count}
+    ring = _Ring(m, j, [u for _, factors, _ in steps for _, u, _, _ in factors]
+                 + list(coeffs.values()))
+    constant = Fraction(spec.constant)
+    total = [0] * ring.size  # the sum so far, times den and constant.denominator
+    total[0] = constant.numerator
+    den = ring.unit_vector()  # product of the denominator factors
+    num = [x * constant.denominator for x in den]  # running numerator product
+    num_order = order = 1
     for n, factors, count in steps:
-        for e, c, s in factors:
-            if s > 0:
-                num = num * (_factor_at(m, j, e, c) or e)
-        for e, c, s in factors:
-            if s < 0:
-                acc.extend_den(_factor_at(m, j, e, c) or CycloNumber.from_rational(e))
+        for e, u, s, zero in factors:
+            if s > 0 and zero:
+                num = [x * e for x in num]
+            elif s > 0:
+                sgn, a, o = ring.mono(e, u)
+                num = _times_linear(num, sgn, a)
+                num_order = math.lcm(num_order, o)
+        for e, u, s, zero in factors:
+            if s < 0 and zero:
+                if not e:
+                    raise DivergenceError("denominator factor vanishes at this root of unity")
+                total = [x * e for x in total]
+                den = [x * e for x in den]
+            elif s < 0:
+                sgn, a, o = ring.mono(e, u)
+                total = _times_linear(total, sgn, a)
+                den = _times_linear(den, sgn, a)
+                order = math.lcm(order, o)
         if not count:
-            acc.add(num * _term_at(m, j, spec, n))
-    return acc.value()
+            sgn, a, o = ring.mono(spec.lead(n), coeffs[n])
+            total = _add_mono(total, num, sgn, a)
+            order = math.lcm(order, num_order, o)
+    return ring_value(total, order, constant.denominator) * ring_value(den, order).inv()
 
 
 def _collapse_sum(m: int, j: int, spec: ProductSum) -> CycloNumber:
     """Evaluate a spec at zeta_m^j whose running product has only denominator
     factors and whose terms repeat with an exact ratio of modulus < 1 after a
-    full period of factors; the sum then collapses to
-    (t_0 + ... + t_(p-1)) / (1 - ratio)."""
-    r = m // math.gcd(m, j)
+    full period of p factors; the sum then collapses to
+    (t_0 + ... + t_(p-1)) / (1 - ratio).
+
+    Each term t_n = u_n / (f_0 ... f_n) is a unit u_n = coeff(n) q^lead(n)
+    over a product of step factors, so t_(n+p)/t_n is u_(n+p)/u_n over the
+    window product f_(n+1) ... f_(n+p).  Windows that hold the same factors
+    have the same product; only windows that do not are multiplied out."""
+    r, _ = _point(m, j)
     candidates = [r, 2 * r, 4 * r]
     need = 2 * candidates[-1]
-    nums: list[CycloNumber] = []
-    facs: list[CycloNumber] = []
-    dens: list[CycloNumber] = []
-    den = CycloNumber.one()
-    for n in range(spec.start, spec.start + need):
-        f = CycloNumber.one()
-        for e, c, _ in spec.factors(n):
-            f = f * _factor_at(m, j, e, c)
-        if not f:
-            raise DivergenceError("denominator factor vanishes at this root of unity")
-        den = den * f
-        nums.append(_term_at(m, j, spec, n))
-        facs.append(f)
-        dens.append(den)
+    steps = [([(e, _unit(c)) for e, c, _ in spec.factors(n)], _unit(spec.coeff(n)), spec.lead(n))
+             for n in range(spec.start, spec.start + need)]
+    ring = _Ring(m, j, [u for factors, cu, _ in steps for _, u in factors]
+                 + [cu for _, cu, _ in steps])
+    facs = [[ring.mono(e, u) for e, u in factors] for factors, _, _ in steps]
+    units = [ring.mono(lead, cu) for _, cu, lead in steps]
+    keys = [[ring.key(s, a) for s, a, _ in step] for step in facs]
+    if any(0 in step for step in keys):
+        raise DivergenceError("denominator factor vanishes at this root of unity")
+    unit_keys = [ring.key(s, a) for s, a, _ in units]
+
+    def product(v, first, last):  # v f_first ... f_last
+        for step in facs[first:last + 1]:
+            for s, a, _ in step:
+                v = _times_linear(v, s, a)
+        return v
+
+    def times_unit(v, n):  # v u_n
+        s, a, _ = units[n]
+        return _add_mono([0] * ring.size, v, s, a)
+
+    def has_period(p):  # u_(n+p) W_0 u_0 == u_n W_n u_p for every n < p
+        diff: dict = {}  # factor keys of window n minus those of window 0
+        w0 = None
+        for n in range(1, p):
+            for key in keys[n]:
+                diff[key] = diff.get(key, 0) - 1
+            for key in keys[n + p]:
+                diff[key] = diff.get(key, 0) + 1
+            if not any(diff.values()):
+                if (unit_keys[n + p] + unit_keys[0] - unit_keys[n] - unit_keys[p]) \
+                        % (2 * ring.size):
+                    return False
+                continue
+            w0 = w0 or product(ring.unit_vector(), 1, p)
+            lhs = times_unit(times_unit(w0, n + p), 0)
+            rhs = times_unit(times_unit(product(ring.unit_vector(), n + 1, n + p), n), p)
+            if not ring_is_zero(list(map(sub, lhs, rhs))):
+                return False
+        return True
+
     for p in candidates:
-        if not any(nums[:p]):
+        if not has_period(p):
             continue
-        a0 = next(i for i in range(p) if nums[i])
-        # ratio c = t_(a0+p)/t_a0 written as the pair A/B to avoid inversions
-        A = nums[a0 + p] * dens[a0]
-        B = dens[a0 + p] * nums[a0]
-        if not all((nums[n + p] * dens[n]) * B == (nums[n] * dens[n + p]) * A
-                   for n in range(p)):
-            continue
-        if abs(complex((A * B.inv()).to_complex(64))) >= 1:
+        order = math.lcm(*(o for step in facs[:p + 1] for _, _, o in step),
+                         *(o for _, _, o in units[:p + 1]))
+        w0 = product(ring.unit_vector(), 1, p)
+        # the ratio is (u_p/u_0) / W_0, and |u_p/u_0| = 1
+        if abs(complex(ring_value(w0, order).to_complex(64))) <= 1:
             raise DivergenceError("periodic term ratio does not contract")
-        # head numerator over the common denominator dens[p-1], by suffix products
-        head_num = CycloNumber.zero()
-        suffix = CycloNumber.one()
-        for n in range(p - 1, -1, -1):
-            head_num = head_num + nums[n] * suffix
-            suffix = suffix * facs[n]
-        value = head_num * B * (dens[p - 1] * (B - A)).inv()
+        head = times_unit(ring.unit_vector(), 0)  # (t_0 + ... + t_(p-1)) f_0 ... f_(p-1)
+        for n in range(1, p):
+            head = product(head, n, n)
+            s, a, _ = units[n]
+            head[a] += s
+        # value = head W_0 u_0 / (f_0 ... f_(p-1) (W_0 u_0 - u_p))
+        prefix = product(ring.unit_vector(), 0, p - 1)
+        num = times_unit(product(head, 1, p), 0)
+        den = list(map(sub, times_unit(product(prefix, 1, p), 0), times_unit(prefix, p)))
+        value = ring_value(num, order) * ring_value(den, order).inv()
         return value + spec.constant if spec.constant else value
     raise DivergenceError("no exact geometric period found")
 
 
-def _grouped_sum_at_root(m: int, j: int, inner, *, step: int = 1,
+def _grouped_sum_at_root(m: int, j: int, terms, *, step: int = 1,
                          constant: int = 1) -> CycloNumber:
     """Sum over the outer index of a double sum whose inner groups vanish
     identically beyond a finite outer index at this root of unity.
 
-    ``inner(k, row)`` receives the row of Gaussian binomials [k n] evaluated
-    at the root (base zeta^(j*step)) and returns the k-th group.  Groups are
+    ``terms(k)`` lists the k-th group as triples (n, e, s) standing for
+    s [k n] q^e, [k n] the Gaussian binomial in q^step.  Groups are
     accumulated until a run of 2R consecutive exact zeros appears (R = order
-    of the evaluation point); a hard cap reports nontermination.
+    of the evaluation point); a hard cap reports nontermination.  At a base
+    w of order d the binomials follow q-Lucas,
+    [k n]_w = C(k div d, n div d) [k mod d, n mod d]_w, and [a b]_w = 0 for
+    b > a, so the row of Gaussian binomials kept is at most d long.
     """
-    r = m // math.gcd(m, j)
+    ring = _Ring(m, j)
+    r = ring.size
     zero_run_needed = 2 * r
     cap = 12 * r + 24
-    w_step = (j * step) % m
-    total = CycloNumber.from_rational(constant) if constant else CycloNumber.zero()
-    row: list[CycloNumber] = [CycloNumber.one()]
+    w = ring.jr * step % r
+    d = ring.order(w)
+    one = ring.unit_vector()
+    row = [one]  # [k mod d, b]_w for b <= k mod d
+    total = [0] * r
+    order = 1
     run = 0
-    k = 0
-    while k < cap:
-        v = inner(k, row)
-        if v:
-            total = total + v
-            run = 0
+    for k in range(cap):
+        kq, kr = divmod(k, d)
+        if kr:  # [a b] = [a-1 b-1] + w^b [a-1 b]
+            row = [one] + [_add_mono(row[b - 1], row[b], 1, w * b) for b in range(1, kr)] + [one]
         else:
+            row = [one]
+        scaled: dict = {}  # (n mod d, exponent) -> summed integer weight
+        group_order = 1
+        for n, e, s in terms(k):
+            a = ring.jr * e % r
+            group_order = math.lcm(group_order, ring.order(a), d if 0 < n < k else 1)
+            nq, nr = divmod(n, d)
+            if nr <= kr:
+                scaled[nr, a] = scaled.get((nr, a), 0) + s * math.comb(kq, nq)
+        group = [0] * r
+        for (b, a), c in scaled.items():
+            if c:
+                group = _add_mono(group, row[b], c, a)
+        if ring_is_zero(group[::r // group_order]):
             run += 1
             if run >= zero_run_needed:
-                return total
-        # extend the binomial row: [k+1 n] = [k n-1] + w^n [k n]
-        new = [CycloNumber.one()]
-        for n in range(1, k + 1):
-            new.append(row[n - 1] + _z(m, w_step * n) * row[n])
-        new.append(CycloNumber.one())
-        row = new
-        k += 1
+                total[0] += constant
+                return ring_value(total, order)
+        else:
+            total = list(map(add, total, group))
+            order = math.lcm(order, group_order)
+            run = 0
     raise DivergenceError(f"double sum groups did not vanish within {cap} outer terms")
 
 
 def _double_sum_at_root(m: int, j: int, spec: DoubleSum) -> CycloNumber:
-    def inner(k: int, row: list[CycloNumber]) -> CycloNumber:
-        acc = CycloNumber.zero()
-        for n in range(k + 1):
-            v = row[n] * _z(m, j * spec.exponent(k, n))
-            acc = acc - v if (n % 2 == 1) == (spec.sign > 0) else acc + v
-        return acc
-    return _grouped_sum_at_root(m, j, inner, step=spec.step, constant=spec.constant)
+    def terms(k: int):
+        return [(n, spec.exponent(k, n), -1 if (n % 2 == 1) == (spec.sign > 0) else 1)
+                for n in range(k + 1)]
+    return _grouped_sum_at_root(m, j, terms, step=spec.step, constant=spec.constant)
 
 
 def _X10_star_grouped_at_root(m: int, j: int) -> CycloNumber:
     """X10_star as a double sum, for the roots where its defining sum does not
     collapse."""
-    def inner(k: int, row: list[CycloNumber]) -> CycloNumber:
-        acc = CycloNumber.zero()
-        for n in range(1, (k + 1) // 2 + 1):
-            mm = k - 2 * n + 1
-            v = row[mm] * _z(m, j * (n * (n + 1) + mm))
-            acc = acc - v if (n + mm) % 2 else acc + v
-        return acc
-    return _grouped_sum_at_root(m, j, inner, constant=1)
+    def terms(k: int):
+        return [(k - 2 * n + 1, n * (n + 1) + k - 2 * n + 1, -1 if (k - n + 1) % 2 else 1)
+                for n in range(1, (k + 1) // 2 + 1)]
+    return _grouped_sum_at_root(m, j, terms, constant=1)
 
 
 def _le_sum_at_root(m: int, j: int, offset: int) -> CycloNumber:
@@ -562,16 +668,22 @@ def _le_sum_at_root(m: int, j: int, offset: int) -> CycloNumber:
     afresh so that no factor is ever divided out.  The terms with n >= r
     (r the order of the point) vanish: their windows of n consecutive
     factors contain one that vanishes."""
-    r = m // math.gcd(m, j)
-    total = CycloNumber.zero()
+    ring = _Ring(m, j)
+    r, jr = ring.r, ring.jr
+    total = [0] * r
+    order = 1
     for n in range(r):
-        term = _z(m, j * n)
+        term = _rot(ring.unit_vector(), jr * n)
+        term_order = ring.order(jr * n)
         for i in range(n + offset, 2 * n + offset):
-            term = term * (1 - _z(m, j * i))
-            if not term:
-                break
-        total = total + term
-    return total
+            if jr * i % r == 0:
+                break  # a vanishing factor: the term is zero
+            term = _times_linear(term, 1, jr * i)
+            term_order = math.lcm(term_order, ring.order(jr * i))
+        else:
+            total = list(map(add, total, term))
+        order = math.lcm(order, term_order)
+    return ring_value(total, order)
 
 
 #: Le-type forms, evaluated division-free: (function, variant) -> window offset

@@ -3,8 +3,15 @@
 A CycloNumber is an element of Q(zeta_M) written in the power basis
 1, zeta, ..., zeta^(phi(M)-1) modulo the M-th cyclotomic polynomial, with a
 single integer denominator.  Representation stays canonical: coordinates are
-integers, gcd(coords, den) == 1, den > 0.  The engines that sum series at
-roots of unity live in ``catalog``.
+integers, gcd(coords, den) == 1, den > 0.
+
+Heavy sums are not run on CycloNumbers.  They run on integer vectors of the
+group ring Z[x]/(x^R - 1), read at x = zeta_R: a product with zeta^e is a
+rotation of the vector, and nothing is reduced on the way.  ``ring_value``
+reduces such a vector modulo Phi once and returns the canonical number;
+``ring_is_zero`` is the exact zero test.  ``root_weighted_sum`` and
+``promote`` go through the same reduction.  The engines that sum series at
+roots of unity this way live in ``catalog``.
 """
 
 from __future__ import annotations
@@ -53,57 +60,82 @@ def _poly_divmod_int(num: list[int], den: list[int]) -> tuple[list[int], list[in
     return quot, num
 
 
+def _prime_factors(m: int) -> list[int]:
+    out = []
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            out.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1 if p == 2 else 2
+    if m > 1:
+        out.append(m)
+    return out
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
-    """Coefficients of Phi_m, ascending, monic, computed by dividing x^m - 1
-    by all lower-order cyclotomic polynomials."""
+    """Coefficients of Phi_m, ascending, monic.
+
+    With rad(m) the product of the primes dividing m,
+    Phi_m(x) = Phi_rad(m)(x^(m/rad(m))); for squarefree m = n p with p prime,
+    Phi_m(x) = Phi_n(x^p) / Phi_n(x), one exact division."""
     if m < 1:
         raise DomainError("cyclotomic_polynomial needs m >= 1")
     if m == 1:
         return (-1, 1)
-    poly = [0] * (m + 1)
-    poly[0] = -1
-    poly[m] = 1
-    for d in range(1, m):
-        if m % d == 0:
-            poly, rem = _poly_divmod_int(poly, list(cyclotomic_polynomial(d)))
-            assert not rem, f"cyclotomic division left a remainder at m={m}, d={d}"
+    primes = _prime_factors(m)
+    rad = math.prod(primes)
+    if rad != m:
+        return tuple(_stretch(cyclotomic_polynomial(rad), m // rad))
+    base = cyclotomic_polynomial(m // primes[-1])
+    poly, rem = _poly_divmod_int(_stretch(base, primes[-1]), list(base))
+    assert not rem, f"cyclotomic division left a remainder at m={m}"
     return tuple(poly)
 
 
+def _stretch(poly: Sequence[int], k: int) -> list[int]:
+    """Coefficients of poly(x^k)."""
+    out = [0] * ((len(poly) - 1) * k + 1)
+    out[::k] = poly
+    return out
+
+
 class _Context:
-    """Cached reduction data for one field order."""
+    """Reduction data for one field order."""
 
     def __init__(self, m: int):
         self.m = m
         self.poly = cyclotomic_polynomial(m)
         self.phi = len(self.poly) - 1
-        # zeta^k for k in [0, m) as integer coordinate vectors
-        powers: list[tuple[int, ...]] = []
-        vec = [0] * self.phi
-        vec[0] = 1
-        powers.append(tuple(vec))
-        for _ in range(1, m):
-            vec = [0] + vec
-            vec = self._reduce(vec)
-            powers.append(tuple(vec))
-        self.powers = powers
+        # Phi_m = x^phi + sum c x^i over these (i, c); most c are zero
+        self.tail = [(i, c) for i, c in enumerate(self.poly[:-1]) if c]
+        self.powers: dict[int, tuple[int, ...]] = {}
 
     def _reduce(self, vec: list[int]) -> list[int]:
+        """vec modulo Phi_m, in place, padded or cut to phi coordinates."""
         phi = self.phi
+        tail = self.tail
         for k in range(len(vec) - 1, phi - 1, -1):
             c = vec[k]
             if c:
                 base = k - phi
-                for i, pc in enumerate(self.poly):
+                for i, pc in tail:
                     vec[base + i] -= c * pc
         del vec[phi:]
-        while len(vec) < phi:
-            vec.append(0)
+        vec.extend([0] * (phi - len(vec)))
         return vec
 
     def power(self, e: int) -> tuple[int, ...]:
-        return self.powers[e % self.m]
+        """zeta^e as a coordinate vector."""
+        e %= self.m
+        pw = self.powers.get(e)
+        if pw is None:
+            vec = [0] * max(e + 1, self.phi)
+            vec[e] = 1
+            pw = self.powers[e] = tuple(self._reduce(vec))
+        return pw
 
 
 @lru_cache(maxsize=None)
@@ -114,14 +146,13 @@ def _context(m: int) -> _Context:
 def _normalize(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
     if den == 0:
         raise ZeroDivisionError("zero denominator")
-    if all(c == 0 for c in num):
-        return tuple(0 for _ in num), 1
-    g = 0
-    for c in num:
-        g = math.gcd(g, c)
-    g = math.gcd(g, den)
+    if not any(num):
+        return (0,) * len(num), 1
+    g = math.gcd(*num, den)
     if den < 0:
         g = -g
+    if g == 1:
+        return tuple(num), den
     return tuple(c // g for c in num), den // g
 
 
@@ -194,16 +225,9 @@ class CycloNumber:
             return self
         if order % self.order:
             raise DomainError(f"cannot promote order {self.order} into {order}")
-        step = order // self.order
-        ctx = _context(order)
-        vec = [0] * ctx.phi
-        for i, c in enumerate(self.num):
-            if c:
-                pw = ctx.power(i * step)
-                for k, pc in enumerate(pw):
-                    vec[k] += c * pc
-        num, den = _normalize(vec, self.den)
-        return CycloNumber(order, num, den)
+        vec = [0] * order
+        vec[:len(self.num) * (order // self.order):order // self.order] = self.num
+        return ring_value(vec, order, self.den)
 
     # -- arithmetic ----------------------------------------------------
     def _coerce(self, other) -> Optional[tuple["CycloNumber", "CycloNumber"]]:
@@ -366,15 +390,26 @@ class CycloNumber:
         return f"CycloNumber({self.text()})"
 
 
+def ring_value(vec: Sequence[int], order: int, den: int = 1) -> CycloNumber:
+    """vec/den, an element of Z[x]/(x^R - 1) with R = len(vec), at x = zeta_R,
+    as a canonical number of Q(zeta_order).
+
+    vec must lie on the multiples of R/order, as every sum of products of
+    roots of unity whose orders divide ``order`` does; there x^(R/order) is
+    zeta_order."""
+    num, den = _normalize(_context(order)._reduce(list(vec[::len(vec) // order])), den)
+    return CycloNumber(order, num, den)
+
+
+def ring_is_zero(vec: Sequence[int]) -> bool:
+    """Whether an element of Z[x]/(x^R - 1), R = len(vec), vanishes at
+    x = zeta_R."""
+    return not any(vec) or not any(_context(len(vec))._reduce(list(vec)))
+
+
 def root_weighted_sum(order: int, terms: Iterable[tuple[int, int]], weight_den: int) -> CycloNumber:
     """Fast exact sum of  (w_e / weight_den) * zeta_order^e  over (e, w_e) pairs."""
-    ctx = _context(order)
-    vec = [0] * ctx.phi
+    vec = [0] * order
     for e, w in terms:
-        if w:
-            pw = ctx.power(e)
-            for k, pc in enumerate(pw):
-                if pc:
-                    vec[k] += w * pc
-    num, den = _normalize(vec, weight_den)
-    return CycloNumber(order, num, den)
+        vec[e % order] += w
+    return ring_value(vec, order, weight_den)

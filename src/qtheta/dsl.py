@@ -443,13 +443,6 @@ def _as_int(value: Fraction, what: str) -> int:
     return value.numerator
 
 
-def _series_to_monomial(s: QSeries, what: str) -> Monomial:
-    if len(s.coeffs) != 1:
-        raise DomainError(f"{what} must be a single monomial")
-    (n, c), = s.coeffs.items()
-    return Monomial(c, n, s.denom)
-
-
 def _eval_monomial(node, env: dict, what: str) -> Monomial:
     """Exact monomial value of an argument position, never truncated."""
     if isinstance(node, Num):
@@ -647,6 +640,9 @@ def eval_dsl(node_or_text, truncation: int, env: Optional[dict] = None
     node = parse(node_or_text) if isinstance(node_or_text, str) else node_or_text
     env = env or {}
     if isinstance(node, Eq):
+        if truncation < 1:
+            raise DomainError(f"truncation must be at least 1, got {truncation}: "
+                              f"an equation over no coefficients proves nothing")
         lhs = eval_series(node.left, env, truncation)
         rhs = eval_series(node.right, env, truncation)
         mm = lhs.first_mismatch(rhs)

@@ -13,6 +13,7 @@ as cyclotomic combinations, so every route except the numeric one is exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, Union
@@ -20,7 +21,7 @@ from typing import Callable, Sequence, Union
 import mpmath
 
 from . import catalog
-from .cyclo import CycloNumber
+from .cyclo import CycloNumber, root_weighted_sum
 from .errors import (DegenerateCaseError, DivergenceError, DomainError,
                      UnknownIdError, UnsupportedMethodError)
 from .report import VerificationReport
@@ -50,16 +51,32 @@ class Prefactor:
         return out
 
     def inverse(self) -> CycloNumber:
-        out = CycloNumber.from_rational(Fraction(1) / self.scalar)
-        for m, e in self.roots:
-            out = out * CycloNumber.root_of_unity(m, -e % m)
-        for m, e in self.minus_one:
-            f = CycloNumber.root_of_unity(m, e) - 1
-            if not f:
+        """1/value, summed once in the field of the lcm L of the orders of the
+        roots: zeta^(-e) is a shift, and 1/(w - 1) = (1/d) sum_(k<d) k w^k
+        for w of order d > 1."""
+        def reduced(m, e):  # (e', d) with zeta_m^e = zeta_d^e' at its own order d
+            g = math.gcd(m, e)
+            return e // g, m // g
+
+        roots = [reduced(m, e) for m, e in self.roots]
+        minus_one = [reduced(m, e) for m, e in self.minus_one]
+        size = math.lcm(1, *(d for _, d in roots + minus_one))
+        terms = {0: self.scalar.denominator}  # exponent mod L -> weight
+        den = self.scalar.numerator
+        for e, d in roots:
+            terms = {(a - e * (size // d)) % size: c for a, c in terms.items()}
+        for e, d in minus_one:
+            if d == 1:
                 raise DegenerateCaseError("prefactor vanishes; the identity does not "
                                           "determine the invariant here")
-            out = out * f.inv()
-        return out
+            spread: dict = {}
+            for a, c in terms.items():
+                for k in range(1, d):
+                    b = (a + e * k * (size // d)) % size
+                    spread[b] = spread.get(b, 0) + c * k
+            terms = spread
+            den *= d
+        return root_weighted_sum(size, terms.items(), den)
 
     def numeric(self, dps: int = 40) -> mpmath.mpc:
         with mpmath.workdps(dps):
@@ -288,21 +305,6 @@ def wrt_invariant(manifold: str, n_val: int, method: str = "eichler_limit") -> W
     else:
         value = rhs / pre.numeric()
     return WRTResult(manifold, n_val, method, value)
-
-
-def available_methods(manifold: str, n_val: int) -> list[str]:
-    """Exact methods that actually evaluate for this manifold and N, probed by
-    running them; radial_numeric is always available."""
-    thm = get_theorem(manifold)
-    out = []
-    for method in ("eichler_limit", "terminating_qseries", "surgery_series"):
-        try:
-            _assemble_rhs(thm, n_val, method)
-            out.append(method)
-        except (UnsupportedMethodError, DivergenceError):
-            continue
-    out.append("radial_numeric")
-    return out
 
 
 def cross_verify(manifold: str, n_values: Sequence[int], tolerance: float = 1e-10,

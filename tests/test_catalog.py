@@ -2,17 +2,21 @@
 root-of-unity routes."""
 
 import dataclasses
+import hashlib
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtheta import catalog
+from qtheta import catalog, wrt
 from qtheta.catalog import (bailey_reduced_identity, beta_from_alpha,
                             jones_trefoil, value_at_root, verify_bailey_pair)
 from qtheta.cyclo import CycloNumber
-from qtheta.errors import (DivergenceError, UnknownIdError, UnsupportedMethodError)
+from qtheta.errors import (DivergenceError, QThetaError, UnknownIdError,
+                           UnsupportedMethodError)
 from qtheta.identities import get_identity, verify_fine_andrews_specializations
 from qtheta.series import Monomial, ProductSum, pochhammer_inverse
 
@@ -215,6 +219,39 @@ def test_exact_routes_agree_with_eichler(route, m, data):
     except (DivergenceError, UnsupportedMethodError):
         return
     assert got == value_at_root(fid, m, j, "eichler")
+
+
+def test_value_order_below_point_order():
+    # the roots that enter X10_star at q = -1 cancel to 0, reported at order 1
+    assert value_at_root("X10_star", 2, 1, "qseries").text() == "M=1; [0]"
+
+
+def _digest(call):
+    try:
+        return hashlib.sha256(call().text().encode()).hexdigest()[:16]
+    except QThetaError as exc:  # the recorded outcome of such a point is its class
+        return type(exc).__name__
+
+
+def test_root_values_match_golden():
+    """Every exact route value at M <= 12 and every exact WRT invariant at
+    N <= 10 prints as recorded: the first 16 hex digits of the SHA-256 of
+    ``text()`` (field order included), or the exception class."""
+    golden = json.loads((Path(__file__).parent / "data" / "root_values.json").read_text())
+    got = {}
+    for fid, method in _routes():
+        for m in range(1, 13):
+            for j in range(m):
+                if math.gcd(j, m) == 1:
+                    got[f"value_at_root|{fid}|{m}|{j}|{method}"] = _digest(
+                        lambda: value_at_root(fid, m, j, method))
+    for manifold in wrt.theorem_ids():
+        for n in range(2, 11):
+            for method in ("eichler_limit", "terminating_qseries", "surgery_series"):
+                got[f"wrt_invariant|{manifold}|{n}|{method}"] = _digest(
+                    lambda: wrt.wrt_invariant(manifold, n, method).value)
+    assert sorted(got) == sorted(golden)
+    assert [k for k in golden if got[k] != golden[k]] == []
 
 
 def test_identity_registry_is_immutable():

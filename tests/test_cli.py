@@ -180,6 +180,11 @@ def test_verify_order_zero_exits_two():
     assert code == 2 and out == "" and "truncation must be at least 1" in err
 
 
+def test_dsl_equation_order_zero_exits_two():
+    code, out, err = run_cli("dsl", "chi0(q) == chi1(q)", "--order", "0")
+    assert code == 2 and out == "" and "truncation must be at least 1" in err
+
+
 def test_cache_hit_is_marked(tmp_path):
     cache = str(tmp_path / "cache")
     code1, out1, _ = run_cli("--json", "verify", "prop_3rd_nu", "--order", "40",

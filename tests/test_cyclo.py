@@ -37,6 +37,30 @@ def test_cyclotomic_degree_is_totient():
         assert len(cyclotomic_polynomial(m)) - 1 == euler_phi(m)
 
 
+def _cyclotomic_by_division(m, known):
+    """Phi_m as x^m - 1 divided by every Phi_d with d | m, d < m."""
+    poly = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            den = known[d]
+            quot = [0] * (len(poly) - len(den) + 1)
+            for k in range(len(poly) - 1, len(den) - 2, -1):
+                c = poly[k]
+                quot[k - len(den) + 1] = c
+                for i, dc in enumerate(den):
+                    poly[k - len(den) + 1 + i] -= c * dc
+            assert not any(poly)
+            poly = quot
+    return poly
+
+
+def test_cyclotomic_radical_shortcut():
+    known = {}
+    for m in range(1, 301):
+        known[m] = _cyclotomic_by_division(m, known)
+        assert cyclotomic_polynomial(m) == tuple(known[m]), m
+
+
 def test_root_annihilated_by_its_polynomial():
     for m in range(1, 101):
         z = CycloNumber.root_of_unity(m)

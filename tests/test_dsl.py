@@ -143,3 +143,10 @@ def test_round_trip_on_concrete_texts():
     ):
         ast = parse(text)
         assert parse(print_ast(ast)) == ast
+
+
+def test_equation_at_order_zero_rejected():
+    # an equation over no coefficients proves nothing
+    with pytest.raises(DomainError):
+        eval_dsl("chi0(q) == chi1(q)", 0)
+    assert eval_dsl("chi0(q)", 0).coeffs == {}

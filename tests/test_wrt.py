@@ -28,6 +28,16 @@ def test_prefactor_inverse():
                complex(pre.value().to_complex(64))) < 1e-25
 
 
+def test_prefactor_inverse_closed_form():
+    # 1/(zeta^e - 1) from the closed form, in the field of zeta^e itself
+    for m, e in [(168, 1), (120, 7), (240, 1), (360, 11), (60, 10), (84, 9)]:
+        got = Prefactor(minus_one=((m, e),)).inverse()
+        want = (CycloNumber.root_of_unity(m, e) - 1).inv()
+        assert (got.order, got.text()) == (want.order, want.text())
+    with pytest.raises(DegenerateCaseError):
+        Prefactor(minus_one=((6, 12),)).inverse()
+
+
 def test_s3_normalization():
     for n in (2, 5, 9):
         res = wrt_invariant("s3", n)
