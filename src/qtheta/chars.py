@@ -16,10 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import mpmath
-from mpmath.libmp import to_fixed
-
-from .cyclo import CycloNumber, root_weighted_sum
+from .cyclo import CycloNumber, mpmath, root_weighted_sum
 from .errors import DomainError, PrecisionError, UnknownIdError
 from .report import VerificationReport
 from .series import QSeries
@@ -307,7 +304,7 @@ def _radial_level_sum(classes: list, period: int, denominator: int, shift: int,
     total = mpmath.mpc(0)
     with mpmath.workprec(bits):
         def fixed(x: int) -> int:  # e^(-t x / D) scaled by 2^bits
-            return to_fixed(mpmath.exp(-t * x / denominator)._mpf_, bits)
+            return mpmath.libmp.to_fixed(mpmath.exp(-t * x / denominator)._mpf_, bits)
         g = fixed(2 * period * period)
         for r, phase in classes:
             e = r * r + shift

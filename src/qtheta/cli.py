@@ -21,10 +21,8 @@ import tempfile
 import time
 from pathlib import Path
 
-import mpmath
-
 from . import __version__, catalog, dsl, lfunc, wrt
-from .cyclo import CycloNumber
+from .cyclo import CycloNumber, mpmath
 from .errors import DomainError, QThetaError
 from .report import VerificationReport
 
@@ -34,21 +32,27 @@ _ENV_KEYS = {"order": "QTHETA_ORDER", "precision_bits": "QTHETA_PRECISION_BITS",
 
 
 def _load_config(path: str | None) -> dict:
-    candidates = [path, os.environ.get("QTHETA_CONFIG"), "qtheta.conf"]
+    """Settings from the defaults, the config file and the environment.  A
+    config file named by --config or QTHETA_CONFIG must exist; ./qtheta.conf
+    is read when it does.  A key the file may not set is an error."""
     settings = dict(_DEFAULTS)
-    for cand in candidates:
-        if cand and Path(cand).is_file():
-            for line in Path(cand).read_text().splitlines():
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise QThetaError(f"bad config line (need key = value): {line!r}")
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key in settings:
-                    settings[key] = value.strip()
-            break
+    named = path or os.environ.get("QTHETA_CONFIG")
+    if named and not Path(named).is_file():
+        raise DomainError(f"config file not found: {named}")
+    source = named or ("qtheta.conf" if Path("qtheta.conf").is_file() else None)
+    if source:
+        for line in Path(source).read_text().splitlines():
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise QThetaError(f"bad config line (need key = value): {line!r}")
+            key, _, value = line.partition("=")
+            key = key.strip()
+            if key not in settings:
+                raise DomainError(f"unknown config key {key!r} in {source} "
+                                  f"(known: {', '.join(settings)})")
+            settings[key] = value.strip()
     for key, env in _ENV_KEYS.items():
         if env in os.environ:
             settings[key] = os.environ[env]
@@ -64,12 +68,21 @@ def _load_config(path: str | None) -> dict:
 _CACHE_FIELDS = {"exit_code", "payload", "lines"}
 
 
+def _source_digest() -> str:
+    """sha256 of the package's own sources: part of every cache key, so an
+    entry written by other code is a miss."""
+    digest = hashlib.sha256()
+    for source in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(source.name.encode() + b"\0" + source.read_bytes())
+    return digest.hexdigest()
+
+
 def _cache_lookup(cache_dir: str, key: dict):
     """(stored entry or None, path); an unreadable or corrupt file is a miss
     and gets overwritten by the next store."""
     if not cache_dir:
         return None, None
-    blob = json.dumps(key, sort_keys=True).encode()
+    blob = json.dumps(dict(key, source=_source_digest()), sort_keys=True).encode()
     digest = hashlib.sha256(blob).hexdigest()
     path = Path(cache_dir) / f"{digest}.json"
     try:
@@ -158,7 +171,8 @@ def _format_value(value, precision_bits: int) -> dict:
     if isinstance(value, CycloNumber):
         return {"cyclotomic": value.text(),
                 "complex": mpmath.nstr(value.to_complex(precision_bits), 17)}
-    return {"complex": mpmath.nstr(mpmath.mpc(value), 17)}
+    with mpmath.workdps(wrt.NUMERIC_DPS):  # no rounding to 53 bits on the way
+        return {"complex": mpmath.nstr(mpmath.mpc(value), 17)}
 
 
 def _cmd_wrt(args, cfg) -> tuple[int, dict, list[str]]:

@@ -16,15 +16,35 @@ roots of unity this way live in ``catalog``.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-import mpmath
-
 from .errors import DomainError
+
+
+def _lazy_module(name: str):
+    """The module ``name``, bound now and executed on its first attribute
+    access (the ``importlib.util.LazyLoader`` recipe of the standard library);
+    a module already imported is returned as it is."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    loader.exec_module(module)
+    return module
+
+
+#: mpmath, loaded on first numeric use; chars, wrt, lfunc and cli import this
+#: binding, so a process that computes only exact values never loads it
+mpmath = _lazy_module("mpmath")
 
 
 def euler_phi(m: int) -> int:
@@ -374,12 +394,6 @@ class CycloNumber:
                 if c:
                     total += c * mpmath.expjpi(mpmath.mpf(2 * i) / m)
             return total / self.den
-
-    def to_complex_with_bound(self, precision_bits: int = 128) -> tuple[mpmath.mpc, Fraction]:
-        value = self.to_complex(precision_bits)
-        spread = sum(abs(c) for c in self.num)
-        bound = Fraction(2 * spread, self.den) * Fraction(1, 2 ** precision_bits)
-        return value, bound
 
     def text(self) -> str:
         """Canonical form ``M=<m>; [c0, c1, ...]`` with exact rationals."""

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -51,94 +50,101 @@ class DslSyntaxError(QThetaError):
 
 # -- AST ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
+class _Node:
+    """An immutable value with the fields named in ``__slots__``, built
+    positionally.  Nodes are equal when their classes and fields are equal
+    (so ``Add(a, b) != Mul(a, b)``), hash alike when equal, and print as
+    ``Add(left=..., right=...)``."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} "
+                            f"fields, got {len(values)}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash((type(self), self._fields()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class Q:
-    pass
+class Num(_Node):
+    __slots__ = ("value",)  # a Fraction
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Q(_Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
+class Var(_Node):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
+class Add(_Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
+class Sub(_Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Div:
-    left: object
-    right: object
+class Mul(_Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Neg:
-    child: object
+class Div(_Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: object
+class Neg(_Node):
+    __slots__ = ("child",)
 
 
-@dataclass(frozen=True)
-class Poch:
-    z: object
-    step: object
-    count: Optional[object]  # None = infinity
+class Pow(_Node):
+    __slots__ = ("base", "exponent")
 
 
-@dataclass(frozen=True)
-class QBin:
-    n: object
-    m: object
+class Poch(_Node):
+    __slots__ = ("z", "step", "count")  # count None = infinity
 
 
-@dataclass(frozen=True)
-class Sum:
-    var: str
-    lo: object
-    hi: Optional[object]  # None = infinity
-    body: object
+class QBin(_Node):
+    __slots__ = ("n", "m")
 
 
-@dataclass(frozen=True)
-class Call:
-    name: str
-    arg: object
+class Sum(_Node):
+    __slots__ = ("var", "lo", "hi", "body")  # hi None = infinity
 
 
-@dataclass(frozen=True)
-class QTheta:
-    char_id: str
-    denom: object
-    shift: object
+class Call(_Node):
+    __slots__ = ("name", "arg")
 
 
-@dataclass(frozen=True)
-class Eq:
-    left: object
-    right: object
+class QTheta(_Node):
+    __slots__ = ("char_id", "denom", "shift")
+
+
+class Eq(_Node):
+    __slots__ = ("left", "right")
 
 
 # -- lexer ----------------------------------------------------------------------
@@ -151,12 +157,9 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass
-class _Token:
-    kind: str  # "number" | "ident" | an operator literal | "end"
-    text: str
-    line: int
-    column: int
+class _Token(_Node):
+    # kind: "number" | "ident" | an operator literal | "end"
+    __slots__ = ("kind", "text", "line", "column")
 
 
 def _tokenize(text: str) -> list[_Token]:

@@ -17,10 +17,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-import mpmath
-
 from . import chars
 from .chars import PeriodicFunction, m_matrix, psi_basis, theta_numeric
+from .cyclo import mpmath
 from .errors import DomainError, PrecisionError, UnknownIdError
 from .report import VerificationReport
 

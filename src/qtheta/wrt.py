@@ -18,15 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
-import mpmath
-
 from . import catalog
-from .cyclo import CycloNumber, root_weighted_sum
+from .cyclo import CycloNumber, mpmath, root_weighted_sum
 from .errors import (DegenerateCaseError, DivergenceError, DomainError,
                      UnknownIdError, UnsupportedMethodError)
 from .report import VerificationReport
 
-Value = Union[CycloNumber, mpmath.mpc]
+Value = Union[CycloNumber, "mpmath.mpc"]
 
 #: exact square roots as cyclotomic combinations
 SQRT2 = CycloNumber.root_of_unity(8, 1) + CycloNumber.root_of_unity(8, 7)
@@ -104,16 +102,22 @@ class _ExactCtx:
         return x * Fraction(1, 3)
 
 
+#: working precision (digits) of the numeric route's right side and division
+NUMERIC_DPS = 40
+
+
 class _NumericCtx:
-    """Constant builders for the numeric route (50-digit working precision)."""
+    """Constant builders for the numeric route, built at the working
+    precision in force when the context is made."""
+
+    def __init__(self):
+        self.sqrt2 = mpmath.sqrt(2)
+        self.sqrt3 = mpmath.sqrt(3)
+        self.one = mpmath.mpf(1)
 
     @staticmethod
     def root(m: int, e: int) -> mpmath.mpc:
         return mpmath.expjpi(mpmath.mpf(2 * (e % m)) / m)
-
-    sqrt2 = mpmath.sqrt(2)
-    sqrt3 = mpmath.sqrt(3)
-    one = mpmath.mpf(1)
 
 
 @dataclass
@@ -256,13 +260,20 @@ class WRTResult:
 
 
 def _assemble_rhs(thm: SeifertTheorem, n_val: int, method: str) -> Value:
-    """Right side of the theorem with function values from the given route."""
+    """Right side of the theorem with function values from the given route;
+    the numeric route works at ``NUMERIC_DPS`` digits."""
     route = _METHOD_TO_ROUTE[method]
+    if route != "radial":
+        return _rhs(thm, n_val, route, _ExactCtx)
+    with mpmath.workdps(NUMERIC_DPS):
+        return _rhs(thm, n_val, route, _NumericCtx())
+
+
+def _rhs(thm: SeifertTheorem, n_val: int, route: str, ctx) -> Value:
     if thm.vanishes(n_val):
         # the parity factor (1 + (-1)^N) is exactly zero: the right side
         # vanishes identically, whatever the function values would be
         return CycloNumber.zero() if route != "radial" else mpmath.mpc(0)
-    ctx = _NumericCtx if route == "radial" else _ExactCtx
     values = {}
     for label, order_of, power_of in thm.points:
         fn_id = label.split("@")[0]
@@ -303,7 +314,8 @@ def wrt_invariant(manifold: str, n_val: int, method: str = "eichler_limit") -> W
     if isinstance(rhs, CycloNumber):
         value = rhs * pre.inverse()
     else:
-        value = rhs / pre.numeric()
+        with mpmath.workdps(NUMERIC_DPS):
+            value = rhs / pre.numeric(NUMERIC_DPS)
     return WRTResult(manifold, n_val, method, value)
 
 

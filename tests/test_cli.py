@@ -1,11 +1,14 @@
 """Command-line contract: exit codes, JSON shape, cache, config precedence."""
 
 import json
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import qtheta
 from qtheta.cli import main
 
 
@@ -183,6 +186,46 @@ def test_verify_order_zero_exits_two():
 def test_dsl_equation_order_zero_exits_two():
     code, out, err = run_cli("dsl", "chi0(q) == chi1(q)", "--order", "0")
     assert code == 2 and out == "" and "truncation must be at least 1" in err
+
+
+def test_missing_config_file_exits_two(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "qtheta.conf").write_text("order = 7\n")
+    code, out, err = run_cli("--config", str(tmp_path / "nonexistent.conf"),
+                             "expand", "chi0")
+    assert code == 2 and out == "" and "config file not found" in err
+    monkeypatch.setenv("QTHETA_CONFIG", str(tmp_path / "nonexistent.conf"))
+    code, out, err = run_cli("expand", "chi0")
+    assert code == 2 and out == "" and "config file not found" in err
+    monkeypatch.delenv("QTHETA_CONFIG")
+    code, out, _ = run_cli("expand", "chi0")  # ./qtheta.conf is read when present
+    assert code == 0 and out.startswith("D=1; T=7;")
+
+
+def test_unknown_config_key_exits_two(tmp_path):
+    conf = tmp_path / "qtheta.conf"
+    conf.write_text("oder = 7\n")
+    code, out, err = run_cli("--config", str(conf), "expand", "chi0")
+    assert code == 2 and out == "" and "unknown config key 'oder'" in err
+
+
+def test_cache_key_holds_source_digest(tmp_path):
+    """An entry stored by one version of the sources is a miss for another."""
+    package = tmp_path / "src" / "qtheta"
+    shutil.copytree(Path(qtheta.__file__).parent, package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    env = {"PYTHONPATH": str(package.parent), "PATH": ""}
+    argv = [sys.executable, "-m", "qtheta.cli", "--json", "--cache",
+            str(tmp_path / "cache"), "expand", "chi0", "--order", "5"]
+
+    def cached() -> bool:
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+        return json.loads(proc.stdout)["cached"]
+
+    assert not cached() and cached()
+    errors = package / "errors.py"
+    errors.write_bytes(errors.read_bytes() + b"\n")
+    assert not cached()
 
 
 def test_cache_hit_is_marked(tmp_path):

@@ -132,6 +132,24 @@ def test_round_trip_on_generated_expressions():
         checked += 1
 
 
+def test_nodes_are_immutable_values():
+    a, b = dsl.Num(Fraction(1, 2)), dsl.Q()
+    assert dsl.Add(a, b) != dsl.Mul(a, b) and dsl.Add(a, b) != dsl.Sub(a, b)
+    assert dsl.Add(a, b) == dsl.Add(dsl.Num(Fraction(1, 2)), dsl.Q())
+    assert hash(dsl.Add(a, b)) == hash(dsl.Add(dsl.Num(Fraction(1, 2)), dsl.Q()))
+    assert repr(dsl.Add(a, b)) == "Add(left=Num(value=Fraction(1, 2)), right=Q())"
+    with pytest.raises(AttributeError):
+        a.value = Fraction(1)
+    with pytest.raises(AttributeError):
+        del a.value
+    with pytest.raises(AttributeError):
+        b.extra = 1
+    with pytest.raises(TypeError):
+        dsl.Add(a)
+    node = parse("sum(n=0..inf, q^n * poch(q^n; 1; n)) == chi0_star(q)")
+    assert parse(print_ast(node)) == node and len({node, parse(print_ast(node))}) == 1
+
+
 def test_round_trip_on_concrete_texts():
     for text in (
         "poch(q; 1; 2)",
