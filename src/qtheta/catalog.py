@@ -364,10 +364,6 @@ _build_functions()
 # vector lies on the multiples of R/order, so it is read off once, at the
 # end, as a canonical number of Q(zeta_order) (``cyclo.ring_value``).
 
-def _z(m: int, e: int) -> CycloNumber:
-    return CycloNumber.root_of_unity(m, e % m)
-
-
 def _point(m: int, j: int) -> tuple[int, int]:
     """(r, jr) with zeta_m^j = zeta_r^jr and gcd(r, jr) = 1."""
     g = math.gcd(m, j)
@@ -756,26 +752,16 @@ def jones_trefoil(form: str, n_val: int) -> CycloNumber:
         raise DomainError("N must be positive")
     m = n_val
     if form == "cyclotomic":
-        total = CycloNumber.zero()
-        prod = CycloNumber.one()
-        for k in range(m):
-            if k:
-                prod = prod * (1 - _z(m, 1 - n_val + (k - 1))) * (1 - _z(m, 1 + n_val + (k - 1)))
-            if not prod:
-                break
-            total = total + _z(m, -k * (k + 2)) * prod
-        return total
-    if form == "geometric":
-        total = CycloNumber.zero()
-        prod = CycloNumber.one()
-        for k in range(m):
-            if k:
-                prod = prod * (1 - _z(m, 1 - n_val + (k - 1)))
-            if not prod:
-                break
-            total = total + _z(m, -k * n_val) * prod
-        return _z(m, 1 - n_val) * total
-    raise DomainError(f"unknown Jones form {form!r} (use 'cyclotomic' or 'geometric')")
+        # sum_k q^(-k(k+2)) prod_(i=1..k) (1 - q^(i-N)) (1 - q^(i+N))
+        spec = ProductSum(lambda k: -k * (k + 2),
+                          lambda k: [(k - m, 1, 1), (k + m, 1, 1)] if k else [])
+    elif form == "geometric":
+        # q^(1-N) sum_k q^(-kN) prod_(i=1..k) (1 - q^(i-N))
+        spec = ProductSum(lambda k: 1 - m - k * m,
+                          lambda k: [(k - m, 1, 1)] if k else [])
+    else:
+        raise DomainError(f"unknown Jones form {form!r} (use 'cyclotomic' or 'geometric')")
+    return _terminating_product_sum(m, 1, spec)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cyclo import CycloNumber, mpmath, root_weighted_sum
+from .cyclo import CycloNumber, _prime_factors, mpmath, root_weighted_sum
 from .errors import DomainError, PrecisionError, UnknownIdError
 from .report import VerificationReport
 from .series import QSeries
@@ -213,20 +213,6 @@ def _minimal_period(two_l: int, md: int, j: int, q0: int) -> int:
                 changed = True
                 break
     return q
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 @lru_cache(maxsize=4096)

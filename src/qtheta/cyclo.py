@@ -235,11 +235,6 @@ class CycloNumber:
     def is_rational(self) -> bool:
         return not any(self.num[1:])
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise DomainError("not a rational number")
-        return Fraction(self.num[0], self.den)
-
     def promote(self, order: int) -> "CycloNumber":
         if order == self.order:
             return self

@@ -20,6 +20,9 @@ class DivergenceError(QThetaError):
 class UnknownIdError(QThetaError, KeyError):
     """A registry lookup failed."""
 
+    def __str__(self):
+        return Exception.__str__(self)  # KeyError's own __str__ quotes the message
+
 
 class DegenerateCaseError(QThetaError):
     """The requested value is not determined (vanishing prefactor at N=1)."""

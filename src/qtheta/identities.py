@@ -79,6 +79,9 @@ def verify_all(truncation: Optional[int] = None, tags: Optional[set] = None,
     data, not exceptions.  ``jobs`` > 1 fans records out to worker processes
     and merges the reports back in id order."""
     ids = identity_ids(tags)
+    if not ids:
+        raise DomainError(f"no identity record outside the negative controls has a tag "
+                          f"in {sorted(tags or ())}: a check over no records proves nothing")
     if jobs and jobs > 1:
         import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -96,30 +99,17 @@ def _run_one(args) -> VerificationReport:
 # record builders
 # ---------------------------------------------------------------------------
 
-def _pair(id_: str, desc: str, default_t: int, lhs_fn, rhs_fn, tags) -> IdentityRecord:
-    def runner(t: int) -> VerificationReport:
-        lhs, rhs = lhs_fn(t), rhs_fn(t)
-        mm = lhs.first_mismatch(rhs)
-        return VerificationReport(id=id_, status="pass" if mm is None else "fail",
-                                  truncation=t, first_mismatch=mm)
-    return _register(IdentityRecord(id_, desc, default_t, runner, frozenset(tags)))
-
-
-def _multi(id_: str, desc: str, default_t: int, pieces, tags) -> IdentityRecord:
-    """pieces(t) yields (label, lhs, rhs) triples; the record passes when all do."""
+def _record(id_: str, desc: str, default_t: int, pieces, tags) -> IdentityRecord:
+    """pieces(t) yields (label, lhs, rhs) triples; the record passes when all
+    do, and a failure names its label (None for a record with one pair)."""
     def runner(t: int) -> VerificationReport:
         for label, lhs, rhs in pieces(t):
             mm = lhs.first_mismatch(rhs)
             if mm is not None:
                 return VerificationReport(id=id_, status="fail", truncation=t,
-                                          first_mismatch=mm, detail=f"in {label}")
+                                          first_mismatch=mm,
+                                          detail=f"in {label}" if label else "")
         return VerificationReport(id=id_, status="pass", truncation=t)
-    return _register(IdentityRecord(id_, desc, default_t, runner, frozenset(tags)))
-
-
-def _adapter(id_: str, desc: str, default_t: int, fn, tags) -> IdentityRecord:
-    def runner(t: int) -> VerificationReport:
-        return fn(t)
     return _register(IdentityRecord(id_, desc, default_t, runner, frozenset(tags)))
 
 
@@ -127,13 +117,10 @@ def _variant_pair(id_: str, fn_id: str, va: str, vb: str, default_t: int, tags,
                   desc: Optional[str] = None):
     from . import catalog
 
-    def lhs(t):
-        return catalog.expand(fn_id, t, va)
+    def pieces(t):
+        yield None, catalog.expand(fn_id, t, va), catalog.expand(fn_id, t, vb)
 
-    def rhs(t):
-        return catalog.expand(fn_id, t, vb)
-
-    _pair(id_, desc or f"{fn_id}: {va} == {vb}", default_t, lhs, rhs, tags)
+    _record(id_, desc or f"{fn_id}: {va} == {vb}", default_t, pieces, tags)
 
 
 # -- propositions: defining sums against character expansions ----------------
@@ -175,18 +162,18 @@ def _build_fine_forms():
 def _build_structural():
     from . import catalog
 
-    _pair("omega_sq_eq_nu", "omega_star(q^2) == nu_star(q)", 300,
-          lambda t: substitute_power(catalog.expand("omega_star", (t + 1) // 2), 2),
-          lambda t: catalog.expand("nu_star", t),
-          ("structural",))
-    _pair("rho_eq_psi_sq", "rho6_star(q) == psi6_star(q^2)", 300,
-          lambda t: catalog.expand("rho6_star", t),
-          lambda t: substitute_power(catalog.expand("psi6_star", (t + 1) // 2), 2),
-          ("structural",))
-    _pair("psi_sq_eq_d5_cube", "psi6_star(q^2) == D5_star(q^3)", 300,
-          lambda t: substitute_power(catalog.expand("psi6_star", (t + 1) // 2), 2),
-          lambda t: substitute_power(catalog.expand("D5_star", (t + 2) // 3), 3),
-          ("structural",))
+    def at_power(fn_id, k, t):  # fn_id(q^k) to truncation t
+        return substitute_power(catalog.expand(fn_id, (t + k - 1) // k), k)
+
+    _record("omega_sq_eq_nu", "omega_star(q^2) == nu_star(q)", 300,
+            lambda t: [(None, at_power("omega_star", 2, t), catalog.expand("nu_star", t))],
+            ("structural",))
+    _record("rho_eq_psi_sq", "rho6_star(q) == psi6_star(q^2)", 300,
+            lambda t: [(None, catalog.expand("rho6_star", t), at_power("psi6_star", 2, t))],
+            ("structural",))
+    _record("psi_sq_eq_d5_cube", "psi6_star(q^2) == D5_star(q^3)", 300,
+            lambda t: [(None, at_power("psi6_star", 2, t), at_power("D5_star", 3, t))],
+            ("structural",))
 
 
 # -- terminating and surgery rewritings ---------------------------------------
@@ -199,8 +186,8 @@ def _build_terminating():
         yield "le_product", defining, catalog.expand("chi0_star", t, "le_product")
         yield "le_sum", defining, catalog.expand("chi0_star", t, "le_sum")
 
-    _multi("le_chi0_forms", "chi0_star: defining == both terminating rewritings",
-           200, le_pieces, ("terminating",))
+    _record("le_chi0_forms", "chi0_star: defining == both terminating rewritings",
+            200, le_pieces, ("terminating",))
     _variant_pair("le_chi1", "chi1_star", "defining", "le", 200, ("terminating",))
     _variant_pair("phi_star_finite", "phi_star", "defining", "finite", 200,
                   ("terminating",))
@@ -219,20 +206,6 @@ def _build_terminating():
 # -- classical self-tests ------------------------------------------------------
 
 def _build_classical():
-    _adapter("euler_identity_q", "Euler identity with z = q", 500,
-             lambda t: selftest_euler(t, Monomial.q(1)), ("classical",))
-    _adapter("euler_identity_neg_q", "Euler identity with z = -q", 500,
-             lambda t: selftest_euler(t, Monomial(-1, 1, 1)), ("classical",))
-    _adapter("triple_product_half", "Jacobi triple product, z = q^(1/2)", 100,
-             lambda t: selftest_triple_product(Monomial.q(Fraction(1, 2)), t),
-             ("classical",))
-    _adapter("triple_product_neg_half", "Jacobi triple product, z = -q^(1/2)", 100,
-             lambda t: selftest_triple_product(Monomial(-1, 1, 2), t), ("classical",))
-    _adapter("triple_product_q", "Jacobi triple product, z = q", 100,
-             lambda t: selftest_triple_product(Monomial.q(1), t), ("classical",))
-    _adapter("eta_cubed", "cube of the eta product as an odd-weighted theta sum", 400,
-             selftest_eta_cubed, ("classical",))
-
     def qbt(t):
         for n in (0, 2, 5, 8):
             for z in (Monomial.q(1), Monomial.q(3)):
@@ -241,31 +214,36 @@ def _build_classical():
                     return rep
         return VerificationReport(id="q_binomial_theorem", status="pass", truncation=t)
 
-    _adapter("q_binomial_theorem", "finite q-binomial theorem, exact", 100, qbt,
-             ("classical",))
+    # these runners return their own reports; IdentityRecord.run sets the id
+    for id_, desc, default_t, runner in (
+            ("euler_identity_q", "Euler identity with z = q", 500,
+             lambda t: selftest_euler(t, Monomial.q(1))),
+            ("euler_identity_neg_q", "Euler identity with z = -q", 500,
+             lambda t: selftest_euler(t, Monomial(-1, 1, 1))),
+            ("triple_product_half", "Jacobi triple product, z = q^(1/2)", 100,
+             lambda t: selftest_triple_product(Monomial.q(Fraction(1, 2)), t)),
+            ("triple_product_neg_half", "Jacobi triple product, z = -q^(1/2)", 100,
+             lambda t: selftest_triple_product(Monomial(-1, 1, 2), t)),
+            ("triple_product_q", "Jacobi triple product, z = q", 100,
+             lambda t: selftest_triple_product(Monomial.q(1), t)),
+            ("eta_cubed", "cube of the eta product as an odd-weighted theta sum", 400,
+             selftest_eta_cubed),
+            ("q_binomial_theorem", "finite q-binomial theorem, exact", 100, qbt)):
+        _register(IdentityRecord(id_, desc, default_t, runner, frozenset(("classical",))))
 
     def qbs(t):
-        from .series import q_binomial_column
-        for z in (Monomial.q(1), Monomial.q(2)):
-            en = z.num
+        for e in (1, 2):
             for n in range(0, 11):
-                # 1/(z)_N as the binomial series in z, multiplied back by (z)_N
-                lhs = QSeries.zero(1, t)
-                col = q_binomial_column(n, t)
-                m = 0
-                while m * en < t:
-                    lhs = lhs + next(col).shift(Monomial.q(m * en)).truncate(t)
-                    m += 1
-                prod = lhs * pochhammer(z, 1, n, t)
-                mm = prod.first_mismatch(QSeries.one(1, t))
-                if mm is not None:
-                    return VerificationReport(id="q_binomial_series", status="fail",
-                                              truncation=t, first_mismatch=mm,
-                                              detail=f"z=q^{z.exponent}, N={n}")
-        return VerificationReport(id="q_binomial_series", status="pass", truncation=t)
+                # 1/(q^e)_N as the binomial series sum_m [N+m-1 m] q^(me),
+                # multiplied back by (q^e)_N
+                lhs = ProductSum(lambda m: m * e,
+                                 lambda m: [(n + m - 1, 1, 1), (m, 1, -1)] if m else []
+                                 ).series(t)
+                yield f"z=q^{e}, N={n}", lhs * pochhammer(Monomial.q(e), 1, n, t), \
+                    QSeries.one(1, t)
 
-    _adapter("q_binomial_series", "1/(z)_N as a binomial series, times (z)_N", 100,
-             qbs, ("classical",))
+    _record("q_binomial_series", "1/(z)_N as a binomial series, times (z)_N", 100, qbs,
+            ("classical",))
 
     def qbf(t):
         cases = [(Monomial(0, 0, 1), Monomial.q(1)), (Monomial.q(1), Monomial.q(2)),
@@ -277,15 +255,10 @@ def _build_classical():
                              lambda n: coeff_pow(z.coeff, n)).series(t)
             az = Monomial(a.coeff * z.coeff, a.num + z.num, 1)
             rhs = pochhammer(az, 1, INFINITY, t) * pochhammer_inverse(z, 1, INFINITY, t)
-            mm = lhs.first_mismatch(rhs)
-            if mm is not None:
-                return VerificationReport(id="q_binomial_formula", status="fail",
-                                          truncation=t, first_mismatch=mm,
-                                          detail=f"a-exp={a.exponent}, z-exp={z.exponent}")
-        return VerificationReport(id="q_binomial_formula", status="pass", truncation=t)
+            yield f"a-exp={a.exponent}, z-exp={z.exponent}", lhs, rhs
 
-    _adapter("q_binomial_formula", "binomial sum equals the product ratio", 100, qbf,
-             ("classical",))
+    _record("q_binomial_formula", "binomial sum equals the product ratio", 100, qbf,
+            ("classical",))
 
 
 # -- hypergeometric transformation instances -----------------------------------
@@ -395,12 +368,7 @@ def _build_transformations():
             ("fine_2071_order3", fine_2071, "even/odd split behind the nu_star rewriting"),
             ("fine_2072_order3", fine_2072, "alternating split behind the phi_star rewriting"),
     ):
-        def runner(t, b=builder, n=name):
-            lhs, rhs = b(t)
-            mm = lhs.first_mismatch(rhs)
-            return VerificationReport(id=n, status="pass" if mm is None else "fail",
-                                      truncation=t, first_mismatch=mm)
-        _register(IdentityRecord(name, desc, 150, runner, frozenset(("transformation",))))
+        _record(name, desc, 150, lambda t, b=builder: [(None, *b(t))], ("transformation",))
 
 
 def verify_fine_andrews_specializations(truncation: int = 150) -> list[VerificationReport]:
@@ -437,17 +405,13 @@ def _build_tseries():
 def _build_negative_control():
     from . import catalog
 
-    def runner(t):
-        lhs = catalog.expand("chi0_star", t, "defining")
+    def pieces(t):
         rhs = catalog.expand("chi0_star", t, "false_theta")
         corrupted = rhs + QSeries.make(1, t, {7: 1} if t > 7 else {0: 1})
-        mm = lhs.first_mismatch(corrupted)
-        return VerificationReport(id="negative_control", status="pass" if mm is None
-                                  else "fail", truncation=t, first_mismatch=mm)
+        yield None, catalog.expand("chi0_star", t, "defining"), corrupted
 
-    _register(IdentityRecord(
-        "negative_control", "deliberately corrupted right side; must fail", 60,
-        runner, frozenset(("negative-control",))))
+    _record("negative_control", "deliberately corrupted right side; must fail", 60,
+            pieces, ("negative-control",))
 
 
 def _build_all():

@@ -351,6 +351,13 @@ def asymptotic_check(char_vector: Sequence[PeriodicFunction], s_matrix,
     modulus 2P), ``s_matrix`` is the transformation matrix to test (the
     generic sine matrix or a registered theorem matrix), ``component`` picks a.
     """
+    if not 0 <= component < len(char_vector):
+        raise DomainError(f"component must satisfy 0 <= component < "
+                          f"{len(char_vector)}, got {component}")
+    if n_val < 1:
+        raise DomainError(f"N must be at least 1, got {n_val}")
+    if k_terms < 0:
+        raise DomainError(f"K must be nonnegative, got {k_terms}")
     chi = char_vector[component]
     two_p = chi.modulus
     with mpmath.workdps(70):
@@ -376,6 +383,8 @@ def asymptotic_check(char_vector: Sequence[PeriodicFunction], s_matrix,
 
 def asymptotic_check_basis(p: int, a: int, n_val: int, k_terms: int) -> AsymptoticReport:
     """Asymptotic check for one basis character with the generic sine matrix."""
+    if not 1 <= a <= p - 1:
+        raise DomainError(f"basis index must satisfy 1 <= a <= P-1, got a={a}, P={p}")
     vec = [psi_basis(p, b) for b in range(1, p)]
     triple = m_matrix(p)
     return asymptotic_check(vec, triple.s_matrix, a - 1, n_val, k_terms)

@@ -551,23 +551,6 @@ def _binomial_row(n: int, trunc: int) -> list[dict]:
     return row
 
 
-def q_binomial_column(n_start: int, trunc: int):
-    """Yield the truncated polynomials [N+m-1 m]_q for m = 0, 1, 2, ... with
-    N = n_start, through the column recurrence
-    [N+m m] = [N+m-1 m-1] (1 - q^(N+m-1)) / (1 - q^m)."""
-    cur = QSeries.one(1, trunc)
-    m = 0
-    while True:
-        yield cur
-        m += 1
-        e = n_start + m - 1
-        coeffs = {0: 1}
-        if e < trunc:
-            coeffs[e] = coeffs.get(e, 0) - 1
-        num = QSeries.make(1, trunc, coeffs)
-        cur = cur * num * pochhammer_inverse(Monomial.q(m), 1, 1, trunc)
-
-
 def substitute_power(a: QSeries, k: Union[int, Fraction]) -> QSeries:
     """q -> q^k with exact rescaling of the knowledge horizon.
 
@@ -625,18 +608,14 @@ def selftest_euler(order: int, z: Optional[Monomial] = None) -> VerificationRepo
     if order < 1:
         raise DomainError("order must be >= 1")
     z = z or Monomial.q()
-    d, t = z.den, order
-    lhs = QSeries.zero(d, t)
-    inv = QSeries.one(d, t)
-    m = 0
-    while True:
-        lead = Fraction(m * (m - 1), 2) + m * z.exponent
-        if lead >= Fraction(t, d):
-            break
-        if m > 0:
-            inv = inv * pochhammer_inverse(Monomial.q(m), 1, 1, t, d)
-        lhs = lhs + inv.shift(Monomial.q(lead, coeff_pow(z.coeff, m))).truncate(t)
-        m += 1
+    if z.num < 0:
+        raise DomainError("monomial exponent must be nonnegative")
+    d, a, t = z.den, z.num, order
+    # z = c q^(a/d): the left side summed in the variable q^(1/d)
+    lhs = ProductSum(lambda m: d * m * (m - 1) // 2 + a * m,
+                     lambda m: [(d * m, 1, -1)] if m else [],
+                     lambda m: coeff_pow(z.coeff, m)).series(t)
+    lhs = QSeries(d, t, lhs.coeffs, lhs.field_order)
     rhs = pochhammer(Monomial(-z.coeff, z.num, z.den), 1, INFINITY, t, d)
     return _report(f"euler_identity(order={order}, z=q^{z.exponent})", lhs, rhs, order)
 

@@ -97,10 +97,6 @@ class _ExactCtx:
     sqrt3 = SQRT3
     one = CycloNumber.one()
 
-    @staticmethod
-    def inv3(x: CycloNumber) -> CycloNumber:
-        return x * Fraction(1, 3)
-
 
 #: working precision (digits) of the numeric route's right side and division
 NUMERIC_DPS = 40
@@ -289,16 +285,16 @@ def wrt_invariant(manifold: str, n_val: int, method: str = "eichler_limit") -> W
     """tau_N of a catalogued manifold, solved out of the theorem identity as
     RHS / prefactor.  N = 1 and the odd-N parity-vanishing cases are reported
     as degenerate (the identity does not determine the invariant there)."""
+    if method not in METHODS:
+        raise UnsupportedMethodError(f"unknown method {method!r}; choose from {METHODS}")
+    if n_val < 1 or (n_val == 1 and manifold in ("s3", "s2xs1")):
+        raise DomainError(f"N must be at least 2, got {n_val}")
     if manifold == "s3":
         return WRTResult("s3", n_val, method, CycloNumber.one(), "normalization")
     if manifold == "s2xs1":
         val = normalization_values(n_val)[1]
         return WRTResult("s2xs1", n_val, method, val, "normalization")
     thm = get_theorem(manifold)
-    if method not in METHODS:
-        raise UnsupportedMethodError(f"unknown method {method!r}; choose from {METHODS}")
-    if n_val < 1:
-        raise DomainError(f"N must be at least 2, got {n_val}")
     if n_val == 1:
         raise DegenerateCaseError("N = 1 makes the prefactor vanish; see degenerate_probe()")
     if thm.vanishes(n_val):

@@ -1,6 +1,7 @@
 """Catalog surface: expansions, variants, Bailey machinery, Jones values,
 root-of-unity routes."""
 
+import cmath
 import dataclasses
 import hashlib
 import json
@@ -141,6 +142,23 @@ def test_jones_forms_agree():
 
 def test_jones_value_at_two():
     assert jones_trefoil("cyclotomic", 2) == -3
+
+
+def test_jones_forms_match_complex_sums():
+    # both sums written out in floating point at q = e^(2 pi i/N)
+    for n in (3, 7, 16, 29):
+        q = cmath.exp(2j * cmath.pi / n)
+        cyclotomic, geometric, prod_c, prod_g = 0, 0, 1, 1
+        for k in range(n):
+            if k:
+                prod_c *= (1 - q ** (k - n)) * (1 - q ** (k + n))
+                prod_g *= 1 - q ** (k - n)
+            cyclotomic += q ** (-k * (k + 2)) * prod_c
+            geometric += q ** (-k * n) * prod_g
+        geometric *= q ** (1 - n)
+        for form, want in (("cyclotomic", cyclotomic), ("geometric", geometric)):
+            got = complex(jones_trefoil(form, n).to_complex(64))
+            assert abs(got - want) < 1e-9 * max(1, abs(want)), (form, n)
 
 
 # -- root-of-unity routes --------------------------------------------------------

@@ -239,3 +239,26 @@ def test_cache_hit_is_marked(tmp_path):
     assert miss["cached"] is False and hit["cached"] is True
     assert hit["results"] == miss["results"] and hit["schema"] == 1
     assert isinstance(hit["elapsed_ms"], float)
+
+
+def test_asym_bad_arguments_exit_two():
+    for argv in (("5", "7", "3", "2"), ("5", "0", "3", "2"), ("5", "1", "0", "2"),
+                 ("5", "1", "3", "-1")):
+        code, out, err = run_cli("asym", *argv)
+        assert code == 2 and out == "" and err.startswith("error: "), argv
+
+
+def test_wrt_normalization_below_two_exits_two():
+    for manifold in ("s3", "s2xs1"):
+        code, out, err = run_cli("wrt", manifold, "0")
+        assert code == 2 and out == "" and "at least 2" in err
+
+
+def test_verify_tags_matching_nothing_exits_two():
+    code, out, err = run_cli("verify", "--all", "--tags", "nope")
+    assert code == 2 and out == "" and "no identity record" in err
+
+
+def test_unknown_id_message_is_not_quoted():
+    code, _, err = run_cli("verify", "nope")
+    assert code == 2 and err.startswith("error: unknown identity id: 'nope'")

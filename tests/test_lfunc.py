@@ -130,6 +130,17 @@ def test_asymptotic_k0_leading_order():
     assert r2.remainder < r1.remainder / 3  # shrinks roughly like 1/N
 
 
+def test_asymptotic_check_domain():
+    for p, a, n, k in ((5, 7, 3, 2), (5, 0, 3, 2), (5, 5, 3, 2), (5, 1, 0, 2),
+                       (5, 1, -3, 2), (5, 1, 3, -1)):
+        with pytest.raises(DomainError):
+            asymptotic_check_basis(p, a, n, k)
+    vec, s = chars.theorem_s_matrix("2_3_5")
+    for component in (-1, len(vec)):
+        with pytest.raises(DomainError, match="component"):
+            asymptotic_check(vec, s, component, 50, 2)
+
+
 def test_asymptotic_theorem_matrix():
     vec, s = chars.theorem_s_matrix("2_3_5")
     reps = [asymptotic_check(vec, s, 1, n, 2) for n in (50, 100, 200)]

@@ -168,6 +168,15 @@ def test_substitute_sign():
     assert out.coeffs[1] == CycloNumber.root_of_unity(4)
 
 
+def test_euler_identity_fractional_and_signed_z():
+    for z in (Monomial.q(Fraction(1, 2)), Monomial(-1, 3, 2), Monomial.q(2),
+              Monomial(CycloNumber.root_of_unity(3), 1, 1)):
+        for t in (1, 7, 50):
+            assert selftest_euler(t, z).passed, (z, t)
+    with pytest.raises(DomainError):
+        selftest_euler(10, Monomial.q(-1))
+
+
 def test_selftests_pass():
     assert selftest_euler(50, Monomial.q(1)).passed
     assert selftest_euler(50, Monomial(-1, 1, 1)).passed

@@ -7,7 +7,7 @@ import pytest
 
 from qtheta import chars
 from qtheta.cyclo import CycloNumber
-from qtheta.errors import DegenerateCaseError, DomainError
+from qtheta.errors import DegenerateCaseError, DomainError, UnsupportedMethodError
 from qtheta.wrt import (SQRT2, SQRT3, Prefactor, cross_verify, degenerate_probe,
                         normalization_values, theorem_ids, wrt_invariant)
 
@@ -42,6 +42,15 @@ def test_s3_normalization():
     for n in (2, 5, 9):
         res = wrt_invariant("s3", n)
         assert res.value == 1
+
+
+def test_normalizations_check_n_and_method():
+    for manifold in ("s3", "s2xs1"):
+        for n in (1, 0, -3):
+            with pytest.raises(DomainError, match="at least 2"):
+                wrt_invariant(manifold, n)
+        with pytest.raises(UnsupportedMethodError):
+            wrt_invariant(manifold, 5, "no_such_method")
 
 
 def test_s2xs1_normalization():
