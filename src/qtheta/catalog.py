@@ -30,9 +30,9 @@ routes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, sub
+from types import MappingProxyType
 from typing import Callable, Optional
 
 from . import chars
@@ -40,23 +40,23 @@ from .chars import false_theta_radial_limit, false_theta_radial_numeric
 from .cyclo import CycloNumber, _context, ring_is_zero, ring_value
 from .errors import (DivergenceError, DomainError, UnknownIdError,
                      UnsupportedMethodError)
-from .report import VerificationReport
+from .report import FrozenRecord, Record, VerificationReport
 from .series import (DoubleSum, Monomial, ProductSum, QSeries, coeff_pow, pochhammer,
                      pochhammer_inverse)
 
 
-@dataclass(frozen=True)
-class NamedFunction:
-    id: str
-    order_label: str
-    # name -> ProductSum, DoubleSum or callable(T) -> QSeries
-    variants: dict = field(default_factory=dict)
-    # character expansion data (starred functions): (character id, D, shift)
-    character: Optional[tuple[str, int, int]] = None
-    # overall factor in front of the character expansion
-    weight: int = 1
-    # (variant, scale) of the exact q-series route: radial limit = scale * value
-    qseries: Optional[tuple[str, int]] = None
+class NamedFunction(FrozenRecord):
+    """A catalog function.
+
+    ``variants`` maps a name to a ProductSum, a DoubleSum or a callable
+    T -> QSeries; ``character`` is the character expansion data of a starred
+    function, (character id, D, shift), and ``weight`` the overall factor in
+    front of it; ``qseries`` is the (variant, scale) of the exact q-series
+    route: radial limit = scale * value."""
+
+    __slots__ = ("id", "order_label", "variants", "character", "weight", "qseries")
+    _defaults = {"variants": MappingProxyType({}), "character": None, "weight": 1,
+                 "qseries": None}
 
     def generator(self, variant: Optional[str] = None) -> Callable[[int], QSeries]:
         name = variant or "defining"
@@ -768,15 +768,10 @@ def jones_trefoil(form: str, n_val: int) -> CycloNumber:
 # Bailey machinery
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BaileyPair:
+class BaileyPair(Record):
     """Finite stretch of a Bailey pair relative to x, held as exact series."""
 
-    x: Monomial
-    alpha: list
-    beta: list
-    length: int
-    truncation: int
+    __slots__ = ("x", "alpha", "beta", "length", "truncation")
 
 
 def _xq(x: Monomial) -> Monomial:

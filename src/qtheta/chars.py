@@ -12,33 +12,32 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .cyclo import CycloNumber, _prime_factors, mpmath, root_weighted_sum
 from .errors import DomainError, PrecisionError, UnknownIdError
-from .report import VerificationReport
+from .report import FrozenRecord, Record, VerificationReport, set_field
 from .series import QSeries
 
 _registry: dict[str, "PeriodicFunction"] = {}
 
 
-@dataclass(frozen=True)
-class PeriodicFunction:
+class PeriodicFunction(FrozenRecord):
     """Odd integer-valued function with modulus 2P, given by its value table."""
 
-    modulus: int  # 2P
-    values: tuple[int, ...]
+    __slots__ = ("modulus", "values")
 
-    def __post_init__(self):
-        if self.modulus < 2 or self.modulus % 2:
+    def __init__(self, modulus: int, values: tuple[int, ...]):
+        if modulus < 2 or modulus % 2:
             raise DomainError("modulus must be a positive even integer")
-        if len(self.values) != self.modulus:
+        if len(values) != modulus:
             raise DomainError("value table length must equal the modulus")
-        for n in range(self.modulus):
-            if self.values[(-n) % self.modulus] != -self.values[n]:
+        for n in range(modulus):
+            if values[(-n) % modulus] != -values[n]:
                 raise DomainError("value table is not odd")
+        set_field(self, "modulus", modulus)
+        set_field(self, "values", values)
 
     def __call__(self, n: int) -> int:
         return self.values[n % self.modulus]
@@ -348,15 +347,11 @@ def false_theta_radial_numeric(chi: PeriodicFunction, denominator: int, shift: i
 # Numeric theta sums and modular transformation checks
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ModularTriple:
-    """S/T data of the weight-3/2 vector of theta sums for one P."""
+class ModularTriple(Record):
+    """S/T data of the weight-3/2 vector of theta sums for one P; the
+    T-phases are exponents in units of pi."""
 
-    p: int
-    component_labels: list[int]
-    s_matrix: list[list[mpmath.mpf]]
-    s_description: str
-    t_phases: list[Fraction]  # phase exponents, in units of pi
+    __slots__ = ("p", "component_labels", "s_matrix", "s_description", "t_phases")
 
     def s_squared_defect(self) -> float:
         n = len(self.s_matrix)

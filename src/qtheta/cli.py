@@ -156,7 +156,7 @@ def _cmd_expand(args, cfg) -> tuple[int, dict, list[str]]:
 def _cmd_verify(args, cfg) -> tuple[int, dict, list[str]]:
     tags = set(args.tags.split(",")) if args.tags else None
     if args.all:
-        reports = catalog.verify_all(args.order, tags=tags, jobs=args.jobs or cfg["jobs"])
+        reports = catalog.verify_all(args.order, tags=tags, jobs=cfg["jobs"])
     else:
         if not args.id:
             raise QThetaError("give an identity id or --all")
@@ -321,6 +321,10 @@ def main(argv=None) -> int:
             setattr(args, name, default)
     try:
         cfg = _load_config(args.config)
+        if args.jobs is not None:
+            cfg["jobs"] = args.jobs
+        if cfg["jobs"] < 1:
+            raise DomainError(f"jobs must be at least 1, got {cfg['jobs']}")
         cache_dir = args.cache if args.cache is not None else cfg["cache_dir"]
         cache_key = {
             "version": __version__,

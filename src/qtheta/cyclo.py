@@ -19,12 +19,12 @@ from __future__ import annotations
 import importlib.util
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError
+from .report import FrozenRecord, set_field
 
 
 def _lazy_module(name: str):
@@ -176,13 +176,16 @@ def _normalize(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
     return tuple(c // g for c in num), den // g
 
 
-@dataclass(frozen=True)
-class CycloNumber:
-    """Element of the M-th cyclotomic field in reduced power-basis form."""
+class CycloNumber(FrozenRecord):
+    """Element of the M-th cyclotomic field in reduced power-basis form: the
+    power-basis coordinates are num[i]/den."""
 
-    order: int
-    num: tuple[int, ...]
-    den: int
+    __slots__ = ("order", "num", "den")
+
+    def __init__(self, order: int, num: tuple[int, ...], den: int):
+        set_field(self, "order", order)
+        set_field(self, "num", num)
+        set_field(self, "den", den)
 
     # -- constructors -------------------------------------------------
     @staticmethod

@@ -31,7 +31,7 @@ from typing import Optional, Union
 
 from . import catalog, chars
 from .errors import DivergenceError, DomainError, QThetaError
-from .report import VerificationReport
+from .report import FrozenRecord, VerificationReport
 from .series import (INFINITY, Monomial, QSeries, pochhammer, q_binomial,
                      substitute_power, substitute_sign)
 
@@ -49,101 +49,66 @@ class DslSyntaxError(QThetaError):
 
 
 # -- AST ----------------------------------------------------------------------
+# Nodes are immutable records, equal when their classes and fields are equal
+# (so ``Add(a, b) != Mul(a, b)``).
 
-class _Node:
-    """An immutable value with the fields named in ``__slots__``, built
-    positionally.  Nodes are equal when their classes and fields are equal
-    (so ``Add(a, b) != Mul(a, b)``), hash alike when equal, and print as
-    ``Add(left=..., right=...)``."""
-
-    __slots__ = ()
-
-    def __init__(self, *values):
-        if len(values) != len(self.__slots__):
-            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} "
-                            f"fields, got {len(values)}")
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash((type(self), self._fields()))
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-
-class Num(_Node):
+class Num(FrozenRecord):
     __slots__ = ("value",)  # a Fraction
 
 
-class Q(_Node):
+class Q(FrozenRecord):
     __slots__ = ()
 
 
-class Var(_Node):
+class Var(FrozenRecord):
     __slots__ = ("name",)
 
 
-class Add(_Node):
+class Add(FrozenRecord):
     __slots__ = ("left", "right")
 
 
-class Sub(_Node):
+class Sub(FrozenRecord):
     __slots__ = ("left", "right")
 
 
-class Mul(_Node):
+class Mul(FrozenRecord):
     __slots__ = ("left", "right")
 
 
-class Div(_Node):
+class Div(FrozenRecord):
     __slots__ = ("left", "right")
 
 
-class Neg(_Node):
+class Neg(FrozenRecord):
     __slots__ = ("child",)
 
 
-class Pow(_Node):
+class Pow(FrozenRecord):
     __slots__ = ("base", "exponent")
 
 
-class Poch(_Node):
+class Poch(FrozenRecord):
     __slots__ = ("z", "step", "count")  # count None = infinity
 
 
-class QBin(_Node):
+class QBin(FrozenRecord):
     __slots__ = ("n", "m")
 
 
-class Sum(_Node):
+class Sum(FrozenRecord):
     __slots__ = ("var", "lo", "hi", "body")  # hi None = infinity
 
 
-class Call(_Node):
+class Call(FrozenRecord):
     __slots__ = ("name", "arg")
 
 
-class QTheta(_Node):
+class QTheta(FrozenRecord):
     __slots__ = ("char_id", "denom", "shift")
 
 
-class Eq(_Node):
+class Eq(FrozenRecord):
     __slots__ = ("left", "right")
 
 
@@ -157,7 +122,7 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-class _Token(_Node):
+class _Token(FrozenRecord):
     # kind: "number" | "ident" | an operator literal | "end"
     __slots__ = ("kind", "text", "line", "column")
 

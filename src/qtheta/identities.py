@@ -11,25 +11,21 @@ Taylor-expansion identities for L-values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import DomainError, UnknownIdError
-from .report import VerificationReport
+from .report import FrozenRecord, VerificationReport
 from .series import (INFINITY, Monomial, ProductSum, QSeries, coeff_pow, pochhammer,
                      pochhammer_inverse, selftest_eta_cubed, selftest_euler,
                      selftest_q_binomial_theorem, selftest_triple_product,
                      substitute_power)
 
 
-@dataclass(frozen=True)
-class IdentityRecord:
-    id: str
-    description: str
-    default_truncation: int
-    runner: Callable[[int], VerificationReport]
-    tags: frozenset = frozenset()
+class IdentityRecord(FrozenRecord):
+    # runner(truncation) -> VerificationReport
+    __slots__ = ("id", "description", "default_truncation", "runner", "tags")
+    _defaults = {"tags": frozenset()}
 
     def run(self, truncation: Optional[int] = None) -> VerificationReport:
         if truncation is None:

@@ -12,7 +12,6 @@ the lower-half-plane integral representation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -21,7 +20,7 @@ from . import chars
 from .chars import PeriodicFunction, m_matrix, psi_basis, theta_numeric
 from .cyclo import mpmath
 from .errors import DomainError, PrecisionError, UnknownIdError
-from .report import VerificationReport
+from .report import FrozenRecord, Record, VerificationReport, set_field
 
 
 # ---------------------------------------------------------------------------
@@ -60,12 +59,14 @@ def bernoulli_at(k: int, x: Fraction) -> Fraction:
 # Taylor series with exact rational coefficients
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TaylorSeries:
+class TaylorSeries(FrozenRecord):
     """Dense truncated series sum c_i x^i, exact rationals, known for i < order."""
 
-    coeffs: tuple
-    variable: str = "x"
+    __slots__ = ("coeffs", "variable")
+
+    def __init__(self, coeffs: tuple, variable: str = "x"):
+        set_field(self, "coeffs", coeffs)
+        set_field(self, "variable", variable)
 
     @property
     def order(self) -> int:
@@ -326,15 +327,8 @@ def _eichler_integer_numeric(chi: PeriodicFunction, n_val: int) -> mpmath.mpc:
     return total
 
 
-@dataclass
-class AsymptoticReport:
-    p: int
-    n_val: int
-    k_terms: int
-    lhs: complex
-    partial: complex
-    remainder: float
-    next_term: float
+class AsymptoticReport(Record):
+    __slots__ = ("p", "n_val", "k_terms", "lhs", "partial", "remainder", "next_term")
 
     @property
     def ratio(self) -> float:
@@ -459,6 +453,8 @@ def verify_nearly_modular_hat(p: int, a: int, z: complex,
                               tolerance: float = 1e-6) -> VerificationReport:
     """hat(z) + (1/sqrt(i z)) sum_b M(P)_(b a) hat_b(-1/z)  ==  the integral of
     Theta_a(tau)/sqrt(tau - z) down to 0, within the tolerance."""
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise DomainError(f"tolerance must be finite and positive, got {tolerance}")
     z = mpmath.mpc(z)
     if mpmath.im(z) >= 0:
         raise DomainError("need Im(z) < 0")

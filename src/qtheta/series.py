@@ -11,13 +11,12 @@ a series was built through the Laurent constructor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from .cyclo import CycloNumber
 from .errors import DivergenceError, DomainError, FieldMismatchError
-from .report import VerificationReport
+from .report import FrozenRecord, VerificationReport, set_field
 
 Coeff = Union[int, Fraction, CycloNumber]
 
@@ -56,21 +55,20 @@ def coeff_pow(c: Coeff, k: int) -> Coeff:
     return out
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(FrozenRecord):
     """A single term  coeff * q^(num/den)."""
 
-    coeff: Coeff = 1
-    num: int = 1
-    den: int = 1
+    __slots__ = ("coeff", "num", "den")
 
-    def __post_init__(self):
-        if self.den < 1:
+    def __init__(self, coeff: Coeff = 1, num: int = 1, den: int = 1):
+        if den < 1:
             raise DomainError("monomial denominator must be >= 1")
-        g = math.gcd(abs(self.num), self.den)
+        g = math.gcd(abs(num), den)
         if g > 1:
-            object.__setattr__(self, "num", self.num // g)
-            object.__setattr__(self, "den", self.den // g)
+            num, den = num // g, den // g
+        set_field(self, "coeff", coeff)
+        set_field(self, "num", num)
+        set_field(self, "den", den)
 
     @staticmethod
     def q(power: Union[int, Fraction] = 1, coeff: Coeff = 1) -> "Monomial":
@@ -85,28 +83,34 @@ class Monomial:
         return _field_of(self.coeff)
 
 
-@dataclass(frozen=True, eq=False)
-class QSeries:
-    """Sparse exact series; see the module docstring for conventions."""
+class QSeries(FrozenRecord):
+    """Sparse exact series; see the module docstring for conventions.  Two
+    series are equal only when they are the same object: compare coefficients
+    with ``first_mismatch``."""
 
-    denom: int
-    trunc: int
-    coeffs: dict  # exponent numerator -> nonzero Coeff
-    field_order: int = 1
-    laurent: bool = False
+    # coeffs: exponent numerator -> nonzero Coeff
+    __slots__ = ("denom", "trunc", "coeffs", "field_order", "laurent")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        if self.denom < 1:
+    def __init__(self, denom: int, trunc: int, coeffs: dict, field_order: int = 1,
+                 laurent: bool = False):
+        if denom < 1:
             raise DomainError("series denominator must be >= 1")
-        if self.trunc < 0 and not self.laurent:
-            raise DomainError(f"truncation must be nonnegative, got {self.trunc}")
-        for n, c in self.coeffs.items():
-            if n >= self.trunc:
-                raise DomainError(f"stored exponent {n} not below truncation {self.trunc}")
+        if trunc < 0 and not laurent:
+            raise DomainError(f"truncation must be nonnegative, got {trunc}")
+        for n, c in coeffs.items():
+            if n >= trunc:
+                raise DomainError(f"stored exponent {n} not below truncation {trunc}")
             if not c:
                 raise DomainError("canonical form forbids zero coefficients")
-            if n < 0 and not self.laurent:
+            if n < 0 and not laurent:
                 raise DomainError("negative exponents need the Laurent constructor")
+        set_field(self, "denom", denom)
+        set_field(self, "trunc", trunc)
+        set_field(self, "coeffs", coeffs)
+        set_field(self, "field_order", field_order)
+        set_field(self, "laurent", laurent)
 
     # -- constructors ---------------------------------------------------
     @staticmethod
@@ -409,8 +413,7 @@ def _one(n: int) -> int:
     return 1
 
 
-@dataclass(frozen=True)
-class ProductSum:
+class ProductSum(FrozenRecord):
     """constant + sum_(n>=start) coeff(n) q^lead(n) R_n over a running product.
 
     R_(start-1) = 1 and R_n = R_(n-1) * prod (1 - c q^e)^s over the triples
@@ -420,11 +423,15 @@ class ProductSum:
     decrease.
     """
 
-    lead: Callable[[int], int]
-    factors: Callable[[int], Sequence[tuple]]
-    coeff: Callable[[int], Coeff] = _one
-    start: int = 0
-    constant: Coeff = 0
+    __slots__ = ("lead", "factors", "coeff", "start", "constant")
+
+    def __init__(self, lead: Callable[[int], int], factors: Callable[[int], Sequence[tuple]],
+                 coeff: Callable[[int], Coeff] = _one, start: int = 0, constant: Coeff = 0):
+        set_field(self, "lead", lead)
+        set_field(self, "factors", factors)
+        set_field(self, "coeff", coeff)
+        set_field(self, "start", start)
+        set_field(self, "constant", constant)
 
     def series(self, trunc: int) -> QSeries:
         total = [0] * max(trunc, 0)
@@ -447,19 +454,16 @@ class ProductSum:
         return QSeries.make(1, trunc, dict(enumerate(total)), field)
 
 
-@dataclass(frozen=True)
-class DoubleSum:
+class DoubleSum(FrozenRecord):
     """constant + sign * sum_(k>=n>=0) (-1)^n [k n]_(q^step) q^exponent(k, n).
 
     ``kmin(k)`` bounds the exponents of the k-th group from below; the formal
     sum stops at the first k with kmin(k) beyond the truncation.
     """
 
-    kmin: Callable[[int], int]
-    exponent: Callable[[int, int], int]
-    step: int = 1
-    sign: int = 1
-    constant: int = 1
+    # kmin(k) -> int, exponent(k, n) -> int
+    __slots__ = ("kmin", "exponent", "step", "sign", "constant")
+    _defaults = {"step": 1, "sign": 1, "constant": 1}
 
     def series(self, trunc: int) -> QSeries:
         total = {0: self.constant} if self.constant and trunc > 0 else {}

@@ -14,15 +14,14 @@ as cyclotomic combinations, so every route except the numeric one is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 from . import catalog
 from .cyclo import CycloNumber, mpmath, root_weighted_sum
 from .errors import (DegenerateCaseError, DivergenceError, DomainError,
                      UnknownIdError, UnsupportedMethodError)
-from .report import VerificationReport
+from .report import FrozenRecord, Record, VerificationReport, set_field
 
 Value = Union[CycloNumber, "mpmath.mpc"]
 
@@ -31,14 +30,19 @@ SQRT2 = CycloNumber.root_of_unity(8, 1) + CycloNumber.root_of_unity(8, 7)
 SQRT3 = CycloNumber.root_of_unity(12, 1) + CycloNumber.root_of_unity(12, 11)
 
 
-@dataclass(frozen=True)
-class Prefactor:
+class Prefactor(FrozenRecord):
     """Structured product  scalar * prod zeta^(e) * prod (zeta^(e) - 1) so the
-    inverse never needs a large-field polynomial gcd."""
+    inverse never needs a large-field polynomial gcd.  ``roots`` holds the
+    (order, power) factors zeta_order^power, ``minus_one`` the (order, power)
+    factors (zeta_order^power - 1)."""
 
-    scalar: Fraction = Fraction(1)
-    roots: tuple = ()            # (order, power) factors zeta_order^power
-    minus_one: tuple = ()        # (order, power) factors (zeta_order^power - 1)
+    __slots__ = ("scalar", "roots", "minus_one")
+
+    def __init__(self, scalar: Fraction = Fraction(1), roots: tuple = (),
+                 minus_one: tuple = ()):
+        set_field(self, "scalar", scalar)
+        set_field(self, "roots", roots)
+        set_field(self, "minus_one", minus_one)
 
     def value(self) -> CycloNumber:
         out = CycloNumber.from_rational(self.scalar)
@@ -116,16 +120,15 @@ class _NumericCtx:
         return mpmath.expjpi(mpmath.mpf(2 * (e % m)) / m)
 
 
-@dataclass
-class SeifertTheorem:
-    id: str
-    display_name: str
-    pqr: tuple[int, int, int]
-    prefactor: Callable[[int], Prefactor]
-    #: (function id, root order factory, root power factory) per needed value
-    points: tuple
-    rhs: Callable  # rhs(N, values: dict, ctx) -> Value
-    parity_vanishing: bool = False  # right side carries (1 + (-1)^N)
+class SeifertTheorem(Record):
+    """One theorem record: ``prefactor(N)`` is a Prefactor, ``points`` holds
+    (function id, root order factory, root power factory) per needed value,
+    ``rhs(N, values: dict, ctx)`` gives the right side, and
+    ``parity_vanishing`` says that it carries (1 + (-1)^N)."""
+
+    __slots__ = ("id", "display_name", "pqr", "prefactor", "points", "rhs",
+                 "parity_vanishing")
+    _defaults = {"parity_vanishing": False}
 
     def vanishes(self, n_val: int) -> bool:
         return self.parity_vanishing and n_val % 2 == 1
@@ -236,13 +239,15 @@ _METHOD_TO_ROUTE = {
 }
 
 
-@dataclass
-class WRTResult:
-    manifold: str
-    n_val: int
-    method: str
-    value: Value
-    note: str = ""
+class WRTResult(Record):
+    __slots__ = ("manifold", "n_val", "method", "value", "note")
+
+    def __init__(self, manifold: str, n_val: int, method: str, value: Value, note: str = ""):
+        self.manifold = manifold
+        self.n_val = n_val
+        self.method = method
+        self.value = value
+        self.note = note
 
     def value_text(self) -> str:
         if isinstance(self.value, CycloNumber):
@@ -325,6 +330,9 @@ def cross_verify(manifold: str, n_values: Sequence[int], tolerance: float = 1e-1
     parity-vanishing theorems at odd N the report asserts that the assembled
     right side is exactly zero.
     """
+    if manifold in ("s3", "s2xs1"):
+        raise DomainError(f"{manifold} is a normalisation record with a single route: "
+                          "there is nothing to cross-verify")
     thm = get_theorem(manifold)
     reports = []
     for n_val in n_values:

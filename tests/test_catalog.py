@@ -2,7 +2,7 @@
 root-of-unity routes."""
 
 import cmath
-import dataclasses
+import copy
 import hashlib
 import json
 import math
@@ -274,11 +274,13 @@ def test_root_values_match_golden():
 
 def test_identity_registry_is_immutable():
     rec = get_identity("prop_5th_chi0")
-    fresh = dataclasses.replace(rec)
+    fresh = copy.copy(rec)  # a new record built from the fields
+    assert fresh is not rec
     assert catalog.verify_identity("prop_5th_chi0").passed
     assert get_identity("prop_5th_chi0") == fresh
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         rec.description = "changed"
+    assert rec.description == fresh.description
 
 
 def test_surgery_series_op():

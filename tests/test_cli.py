@@ -262,3 +262,32 @@ def test_verify_tags_matching_nothing_exits_two():
 def test_unknown_id_message_is_not_quoted():
     code, _, err = run_cli("verify", "nope")
     assert code == 2 and err.startswith("error: unknown identity id: 'nope'")
+
+
+def test_hatcheck_bad_tolerance_exits_two():
+    for tol in ("0", "inf", "nan", "-1"):
+        code, out, err = run_cli("hatcheck", "5", "1", "0.1", "-0.5", "--tol", tol)
+        assert code == 2 and out == "" and "tolerance must be finite and positive" in err, tol
+
+
+def test_wrt_cross_on_normalization_exits_two():
+    for manifold in ("s3", "s2xs1"):
+        code, out, err = run_cli("wrt", manifold, "5", "--cross")
+        assert code == 2 and out == "" and "nothing to cross-verify" in err, manifold
+
+
+def test_jobs_below_one_exits_two(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ("verify", "--all", "--tags", "structural", "--order", "40")
+    for jobs in ("0", "-1"):
+        code, out, err = run_cli(*argv, "--jobs", jobs)
+        assert code == 2 and out == "" and f"jobs must be at least 1, got {jobs}" in err
+    monkeypatch.setenv("QTHETA_JOBS", "0")
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == "" and "jobs must be at least 1" in err
+    code, out, _ = run_cli(*argv, "--jobs", "1")
+    assert code == 0 and out.count("PASS") == 3  # the flag beats the environment
+    monkeypatch.delenv("QTHETA_JOBS")
+    (tmp_path / "qtheta.conf").write_text("jobs = -1\n")
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == "" and "jobs must be at least 1" in err

@@ -1,6 +1,7 @@
 """Start-up contract: ``import qtheta.cli`` loads every qtheta module and
-registry but not mpmath, which loads on the first numeric use.  Each check
-runs in a fresh interpreter, so no earlier test has loaded mpmath."""
+registry but not mpmath, which loads on the first numeric use, and neither
+``dataclasses`` nor ``inspect``.  Each check runs in a fresh interpreter, so
+no earlier test has loaded them."""
 
 import json
 import os
@@ -15,7 +16,8 @@ MODULES = ["catalog", "chars", "cli", "cyclo", "dsl", "errors", "identities",
            "lfunc", "report", "series", "wrt"]
 
 #: runs qtheta.cli.main on argv and prints one JSON line: the exit code,
-#: whether mpmath has loaded, and the qtheta modules loaded
+#: whether mpmath has loaded, which of dataclasses and inspect have loaded,
+#: and the qtheta modules loaded
 PROBE = """
 import contextlib, io, json, sys
 import qtheta.cli
@@ -24,6 +26,7 @@ with contextlib.redirect_stdout(out):
     code = qtheta.cli.main(sys.argv[1:]) if sys.argv[1:] else None
 print(json.dumps({"code": code, "stdout": out.getvalue(),
                   "mpmath": "mpmath.ctx_mp" in sys.modules,
+                  "stdlib": [m for m in ("dataclasses", "inspect") if m in sys.modules],
                   "modules": sorted(m for m in sys.modules if m.startswith("qtheta."))}))
 """
 
@@ -40,6 +43,12 @@ def test_import_loads_every_module_but_not_mpmath():
     state = probe()
     assert state["modules"] == [f"qtheta.{name}" for name in MODULES]
     assert not state["mpmath"]
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """The records are plain ``__slots__`` classes: building them needs
+    neither ``dataclasses`` nor the ``inspect`` module it imports."""
+    assert probe()["stdlib"] == []
 
 
 @pytest.mark.parametrize("argv", [
