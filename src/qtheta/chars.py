@@ -179,20 +179,11 @@ def eichler_tilde_at_integer(p: int, a: int, n: int) -> CycloNumber:
 
 
 def eichler_tilde_at_inverse_N(chi: PeriodicFunction, n_val: int) -> CycloNumber:
-    """Exact limiting value at argument 1/N, as the finite Bernoulli-weighted
-    sum  -sum_(k=0..2PN) chi(k) e^(k^2 pi i/(2PN)) B_1(k/(2PN))."""
+    """Exact limiting value at argument 1/N of sum_(n>=0) chi(n) q^(n^2/(4P)),
+    the radial limit at q -> zeta_N."""
     if n_val < 1:
         raise DomainError("N must be a positive integer")
-    two_p = chi.modulus
-    q_period = two_p * n_val  # 2PN
-    order = 2 * q_period      # 4PN
-    terms = []
-    for k in range(0, q_period + 1):
-        c = chi(k)
-        if c:
-            # B_1(k/(2PN)) = (2k - 2PN) / (2 * 2PN); fold the 2PN denominator in
-            terms.append(((k * k) % order, -c * (2 * k - q_period)))
-    return root_weighted_sum(order, terms, 2 * q_period)
+    return false_theta_radial_limit(chi, 2 * chi.modulus, 0, n_val)
 
 
 def _minimal_period(two_l: int, md: int, j: int, q0: int) -> int:

@@ -12,6 +12,10 @@ reduces such a vector modulo Phi once and returns the canonical number;
 ``ring_is_zero`` is the exact zero test.  ``root_weighted_sum`` and
 ``promote`` go through the same reduction.  The engines that sum series at
 roots of unity this way live in ``catalog``.
+
+A product is an integer convolution reduced modulo Phi (``_Context.product``).
+An inverse uses the same kernel: the product of the Galois conjugates of the
+numerator, divided by its norm, a rational integer.
 """
 
 from __future__ import annotations
@@ -47,23 +51,6 @@ def _lazy_module(name: str):
 mpmath = _lazy_module("mpmath")
 
 
-def euler_phi(m: int) -> int:
-    if m < 1:
-        raise DomainError("euler_phi needs m >= 1")
-    result = m
-    n = m
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        result -= result // n
-    return result
-
-
 def _poly_divmod_int(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     """Exact division of integer polynomials; den must be monic."""
     num = num[:]
@@ -92,6 +79,15 @@ def _prime_factors(m: int) -> list[int]:
     if m > 1:
         out.append(m)
     return out
+
+
+def euler_phi(m: int) -> int:
+    """phi(m) = m * prod(1 - 1/p) over the primes p dividing m."""
+    if m < 1:
+        raise DomainError("euler_phi needs m >= 1")
+    for p in _prime_factors(m):
+        m -= m // p
+    return m
 
 
 @lru_cache(maxsize=None)
@@ -146,6 +142,16 @@ class _Context:
         del vec[phi:]
         vec.extend([0] * (phi - len(vec)))
         return vec
+
+    def product(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
+        """a * b modulo Phi_m, both given by their phi coordinates."""
+        conv = [0] * (2 * self.phi - 1)
+        for i, ca in enumerate(a):
+            if ca:
+                for j, cb in enumerate(b):
+                    if cb:
+                        conv[i + j] += ca * cb
+        return self._reduce(conv)
 
     def power(self, e: int) -> tuple[int, ...]:
         """zeta^e as a coordinate vector."""
@@ -224,9 +230,7 @@ class CycloNumber(FrozenRecord):
         if len(fracs) > ctx.phi:
             raise DomainError("coordinate vector longer than phi(M)")
         fracs += [Fraction(0)] * (ctx.phi - len(fracs))
-        den = 1
-        for f in fracs:
-            den = den * f.denominator // math.gcd(den, f.denominator)
+        den = math.lcm(*(f.denominator for f in fracs))
         vec = [int(f * den) for f in fracs]
         num, den = _normalize(vec, den)
         return CycloNumber(order, num, den)
@@ -252,7 +256,7 @@ class CycloNumber(FrozenRecord):
         if isinstance(other, CycloNumber):
             if other.order == self.order:
                 return self, other
-            m = self.order * other.order // math.gcd(self.order, other.order)
+            m = math.lcm(self.order, other.order)
             return self.promote(m), other.promote(m)
         if isinstance(other, (int, Fraction)):
             return self, CycloNumber.from_rational(other, 1).promote(self.order)
@@ -263,7 +267,7 @@ class CycloNumber(FrozenRecord):
         if pair is None:
             return NotImplemented
         a, b = pair
-        den = a.den * b.den // math.gcd(a.den, b.den)
+        den = math.lcm(a.den, b.den)
         fa, fb = den // a.den, den // b.den
         vec = [ca * fa + cb * fb for ca, cb in zip(a.num, b.num)]
         num, den = _normalize(vec, den)
@@ -294,61 +298,31 @@ class CycloNumber(FrozenRecord):
         if pair is None:
             return NotImplemented
         a, b = pair
-        ctx = _context(a.order)
-        phi = ctx.phi
-        conv = [0] * (2 * phi - 1)
-        for i, ca in enumerate(a.num):
-            if ca:
-                for j, cb in enumerate(b.num):
-                    if cb:
-                        conv[i + j] += ca * cb
-        vec = ctx._reduce(conv)
+        vec = _context(a.order).product(a.num, b.num)
         num, den = _normalize(vec, a.den * b.den)
         return CycloNumber(a.order, num, den)
 
     __rmul__ = __mul__
 
     def inv(self) -> "CycloNumber":
-        """Multiplicative inverse via extended Euclid modulo Phi_M."""
+        """Multiplicative inverse by the Galois norm: with sigma_k the
+        automorphism zeta -> zeta^k, the product c of the conjugates
+        sigma_k(num) over k prime to M, k != 1, makes num * c the rational
+        integer N(num), so 1/(num/den) = den * c / N(num)."""
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        a = [Fraction(c, self.den) for c in self.num]
-        b = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        # extended gcd: find u with a*u + b*v = gcd; gcd is a nonzero constant
-        r0, r1 = b, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-
-        def deg(p):
-            for i in range(len(p) - 1, -1, -1):
-                if p[i]:
-                    return i
-            return -1
-
-        def submul(p, q, c, shift):
-            out = p[:]
-            while len(out) < len(q) + shift:
-                out.append(Fraction(0))
-            for i, qc in enumerate(q):
-                out[i + shift] -= c * qc
-            while out and not out[-1]:
-                out.pop()
-            return out
-
-        while deg(r1) > 0:
-            while deg(r0) >= deg(r1):
-                d = deg(r0) - deg(r1)
-                c = r0[deg(r0)] / r1[deg(r1)]
-                r0 = submul(r0, r1, c, d)
-                s0 = submul(s0, s1, c, d)
-                if deg(r0) < 0:
-                    break
-            r0, r1 = r1, r0
-            s0, s1 = s1, s0
-        if deg(r1) != 0:
-            raise ZeroDivisionError("element not invertible (shares a factor with Phi_M)")
-        c = r1[0]
-        coords = [x / c for x in s1]
-        return CycloNumber.from_coords(self.order, coords)
+        m = self.order
+        ctx = _context(m)
+        cofactor = ctx.power(0)
+        for k in range(2, m):
+            if math.gcd(k, m) == 1:
+                conjugate = [0] * m
+                for i, c in enumerate(self.num):
+                    conjugate[i * k % m] += c
+                cofactor = ctx.product(cofactor, ctx._reduce(conjugate))
+        norm = ctx.product(self.num, cofactor)[0]
+        num, den = _normalize([c * self.den for c in cofactor], norm)
+        return CycloNumber(m, num, den)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -367,7 +341,7 @@ class CycloNumber(FrozenRecord):
             return NotImplemented
         if self.order == other.order:
             return self.num == other.num and self.den == other.den
-        m = self.order * other.order // math.gcd(self.order, other.order)
+        m = math.lcm(self.order, other.order)
         a, b = self.promote(m), other.promote(m)
         return a.num == b.num and a.den == b.den
 

@@ -74,11 +74,13 @@ def verify_all(truncation: Optional[int] = None, tags: Optional[set] = None,
     """Run every registered identity (minus negative controls); failures are
     data, not exceptions.  ``jobs`` > 1 fans records out to worker processes
     and merges the reports back in id order."""
+    if not isinstance(jobs, int) or jobs < 1:
+        raise DomainError(f"jobs must be an integer >= 1, got {jobs!r}")
     ids = identity_ids(tags)
     if not ids:
         raise DomainError(f"no identity record outside the negative controls has a tag "
                           f"in {sorted(tags or ())}: a check over no records proves nothing")
-    if jobs and jobs > 1:
+    if jobs > 1:
         import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_run_one, [(i, truncation) for i in ids]))

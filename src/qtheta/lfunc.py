@@ -304,29 +304,6 @@ def t_series_ids() -> list[str]:
 # Asymptotic expansion at 1/N
 # ---------------------------------------------------------------------------
 
-def _eichler_inverse_numeric(chi: PeriodicFunction, n_val: int) -> mpmath.mpc:
-    """Finite Bernoulli-weighted sum at 1/N evaluated in floating point."""
-    two_p = chi.modulus
-    q = two_p * n_val
-    total = mpmath.mpc(0)
-    for k in range(1, q + 1):
-        c = chi(k)
-        if c:
-            total += c * mpmath.expjpi(mpmath.mpf(k * k % (2 * q)) / q) \
-                * (mpmath.mpf(k) / q - mpmath.mpf(1) / 2)
-    return -total
-
-
-def _eichler_integer_numeric(chi: PeriodicFunction, n_val: int) -> mpmath.mpc:
-    """Closed form at an integer argument, through the basis decomposition."""
-    p = chi.half_modulus
-    total = mpmath.mpc(0)
-    for a, coeff in chi.basis_coefficients():
-        total += coeff * (1 - mpmath.mpf(a) / p) \
-            * mpmath.expjpi(mpmath.mpf((a * a * n_val) % (4 * p)) / (2 * p))
-    return total
-
-
 class AsymptoticReport(Record):
     __slots__ = ("p", "n_val", "k_terms", "lhs", "partial", "remainder", "next_term")
 
@@ -355,12 +332,14 @@ def asymptotic_check(char_vector: Sequence[PeriodicFunction], s_matrix,
     chi = char_vector[component]
     two_p = chi.modulus
     with mpmath.workdps(70):
-        lhs = _eichler_inverse_numeric(chi, n_val)
+        bits = mpmath.mp.prec
+        lhs = chars.eichler_tilde_at_inverse_N(chi, n_val).to_complex(bits)
         root = mpmath.sqrt(mpmath.mpf(n_val) / 1j)
         for b, chi_b in enumerate(char_vector):
             s_ab = s_matrix[component][b]
-            if s_ab:
-                lhs += root * s_ab * _eichler_integer_numeric(chi_b, -n_val)
+            for a, c in chi_b.basis_coefficients() if s_ab else ():
+                value = chars.eichler_tilde_at_integer(chi_b.half_modulus, a, -n_val)
+                lhs += root * s_ab * c * value.to_complex(bits)
         x = mpmath.pi * 1j / (two_p * n_val)
         partial = mpmath.mpc(0)
         for k in range(k_terms + 1):

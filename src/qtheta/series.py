@@ -27,10 +27,6 @@ ITERATION_CAP_FACTOR = 10
 INFINITY = None
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
-
-
 def _merge_field(ka: int, kb: int) -> int:
     if ka % kb == 0:
         return ka
@@ -182,7 +178,7 @@ class QSeries(FrozenRecord):
 
     def _unify(self, other: "QSeries") -> tuple["QSeries", "QSeries", int]:
         k = _merge_field(self.field_order, other.field_order)
-        d = _lcm(self.denom, other.denom)
+        d = math.lcm(self.denom, other.denom)
         a, b = self.rescale(d), other.rescale(d)
         t = min(a.trunc, b.trunc)
         return a.truncate(t), b.truncate(t), k
@@ -258,7 +254,7 @@ class QSeries(FrozenRecord):
 
     def shift(self, m: Monomial) -> "QSeries":
         """Multiply by a monomial; exact, so the knowledge horizon shifts too."""
-        d = _lcm(self.denom, m.den)
+        d = math.lcm(self.denom, m.den)
         a = self.rescale(d)
         dn = m.num * (d // m.den)
         k = _merge_field(a.field_order, m.field_order())
@@ -315,8 +311,8 @@ def _step_monomial(step) -> Monomial:
 
 def _poch_denominator(z: Monomial, b: Monomial, denom: Optional[int]) -> int:
     d = denom or 1
-    d = _lcm(d, z.den)
-    return _lcm(d, b.den)
+    d = math.lcm(d, z.den)
+    return math.lcm(d, b.den)
 
 
 def mul_linear(a: list, e: int, c: Coeff = 1) -> None:
@@ -647,7 +643,7 @@ def _poch_allow_negative(z: Monomial, trunc: int, denom: int) -> QSeries:
 def selftest_triple_product(z: Monomial, order: int) -> VerificationReport:
     """sum_k (-1)^k q^(k^2/2) z^k == (q, q^(1/2)/z, q^(1/2) z; q)_infinity."""
     e = z.exponent
-    d, t = _lcm(2, z.den), order
+    d, t = math.lcm(2, z.den), order
     horizon = Fraction(t, d)
 
     def lead(k: int) -> Fraction:
@@ -684,7 +680,7 @@ def selftest_q_binomial_theorem(n: int, z: Monomial) -> VerificationReport:
     if z.exponent < 0:
         raise DomainError("monomial exponent must be nonnegative")
     degree = Fraction(n * (n - 1), 2) + n * z.exponent
-    d = _lcm(z.den, degree.denominator if degree else 1)
+    d = math.lcm(z.den, degree.denominator if degree else 1)
     t = (degree.numerator * (d // degree.denominator) if degree else 0) + d + 1
     lhs = pochhammer(Monomial(-z.coeff, z.num, z.den), 1, n, t, d)
     rhs = QSeries.zero(d, t)

@@ -16,7 +16,7 @@ from qtheta import catalog, wrt
 from qtheta.catalog import (bailey_reduced_identity, beta_from_alpha,
                             jones_trefoil, value_at_root, verify_bailey_pair)
 from qtheta.cyclo import CycloNumber
-from qtheta.errors import (DivergenceError, QThetaError, UnknownIdError,
+from qtheta.errors import (DivergenceError, DomainError, QThetaError, UnknownIdError,
                            UnsupportedMethodError)
 from qtheta.identities import get_identity, verify_fine_andrews_specializations
 from qtheta.series import Monomial, ProductSum, pochhammer_inverse
@@ -302,3 +302,10 @@ def test_negative_control_fails_with_mismatch():
     rep = catalog.verify_identity("negative_control")
     assert not rep.passed
     assert rep.first_mismatch == 7
+
+
+def test_verify_all_rejects_jobs_below_one():
+    for jobs in (-1, 0, None, 1.5, "2"):
+        with pytest.raises(DomainError, match="jobs must be an integer >= 1"):
+            catalog.verify_all(40, tags={"structural"}, jobs=jobs)
+    assert all(r.passed for r in catalog.verify_all(40, tags={"structural"}, jobs=1))

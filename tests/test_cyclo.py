@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import mpmath
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qtheta.cyclo import (CycloNumber, cyclotomic_polynomial, euler_phi,
                           root_weighted_sum)
@@ -126,3 +128,34 @@ def test_terminating_matches_float_summation():
 def test_serialization_form():
     x = CycloNumber.from_coords(4, [Fraction(1, 2), Fraction(-3)])
     assert x.text() == "M=4; [1/2, -3]"
+
+
+def test_euler_phi_counts_units():
+    for m in range(1, 61):
+        assert euler_phi(m) == sum(1 for k in range(1, m + 1) if math.gcd(k, m) == 1), m
+
+
+@st.composite
+def field_pairs(draw):
+    """Two random elements of one field Q(zeta_M), rational coordinates."""
+    m = draw(st.sampled_from([1, 2, 3, 4, 5, 8, 9, 12, 15, 20, 24, 30, 60, 84]))
+    coords = st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=12),
+                      min_size=euler_phi(m), max_size=euler_phi(m))
+    return (CycloNumber.from_coords(m, draw(coords)),
+            CycloNumber.from_coords(m, draw(coords)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(field_pairs())
+def test_inverse_properties(pair):
+    x, y = pair
+    with pytest.raises(ZeroDivisionError):
+        CycloNumber.zero(x.order).inv()
+    assume(x and y)
+    assert x * x.inv() == 1
+    assert x.inv().inv() == x
+    assert (x * y).inv() == x.inv() * y.inv()
+
+
+def test_inverse_serialization_form():
+    assert (CycloNumber.root_of_unity(3) - 1).inv().text() == "M=3; [-2/3, -1/3]"
