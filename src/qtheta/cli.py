@@ -325,6 +325,9 @@ def main(argv=None) -> int:
             cfg["jobs"] = args.jobs
         if cfg["jobs"] < 1:
             raise DomainError(f"jobs must be at least 1, got {cfg['jobs']}")
+        if cfg["precision_bits"] < 64:  # values print with 17 digits, about 57 bits
+            raise DomainError("precision_bits must be at least 64, "
+                              f"got {cfg['precision_bits']}")
         cache_dir = args.cache if args.cache is not None else cfg["cache_dir"]
         cache_key = {
             "version": __version__,

@@ -367,6 +367,11 @@ class CycloNumber(FrozenRecord):
                     total += c * mpmath.expjpi(mpmath.mpf(2 * i) / m)
             return total / self.den
 
+    def _mpmath_(self, prec: int, rounding: str) -> mpmath.mpc:
+        """mpmath's conversion hook: in arithmetic with an mpf or mpc the
+        exact side embeds at the caller's working precision (bits)."""
+        return self.to_complex(prec)
+
     def text(self) -> str:
         """Canonical form ``M=<m>; [c0, c1, ...]`` with exact rationals."""
         coords = ", ".join(str(Fraction(c, self.den)) for c in self.num)

@@ -4,9 +4,11 @@ numeric side of the nearly-modular story.
 Two independent routes compute L(-2k, chi): a Hurwitz-type finite Bernoulli
 sum (the oracle; works for every odd periodic chi) and Taylor division of the
 four published cosine-ratio generating functions.  On top of those sit the
-exponential-variable expansions of the terminating series, the asymptotic
-expansion of the half-integrated theta sums at 1/N, and quadrature checks for
-the lower-half-plane integral representation.
+exponential-variable expansions of the terminating series (the catalog's own
+registered q-series specs of chi0*, chi1*, phi* and nu*, expanded at
+q = e^(-t) by one engine), the asymptotic expansion of the half-integrated
+theta sums at 1/N, and quadrature checks for the lower-half-plane integral
+representation.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import chars
 from .chars import PeriodicFunction, m_matrix, psi_basis, theta_numeric
@@ -73,18 +75,9 @@ class TaylorSeries(FrozenRecord):
         return len(self.coeffs)
 
     @staticmethod
-    def zero(order: int, variable: str = "x") -> "TaylorSeries":
-        return TaylorSeries(tuple(Fraction(0) for _ in range(order)), variable)
-
-    @staticmethod
     def one(order: int, variable: str = "x") -> "TaylorSeries":
         return TaylorSeries(tuple(Fraction(1 if i == 0 else 0) for i in range(order)),
                             variable)
-
-    def __add__(self, other: "TaylorSeries") -> "TaylorSeries":
-        n = min(self.order, other.order)
-        return TaylorSeries(tuple(self.coeffs[i] + other.coeffs[i] for i in range(n)),
-                            self.variable)
 
     def __sub__(self, other: "TaylorSeries") -> "TaylorSeries":
         n = min(self.order, other.order)
@@ -221,83 +214,71 @@ def verify_l_value_routes(k_max: int = 10) -> VerificationReport:
 # Exponential-variable expansions of the terminating forms
 # ---------------------------------------------------------------------------
 
-#: id -> (character id, prefactor rate, factor window (lo(n), hi(n), sign rule),
-#:        argument scale in the right side, leading 1/2 or 1)
-_T_SPECS = {
-    # sum_n e^(-nt) (1-e^(-nt)) ... (1-e^(-(2n-1)t)), all-minus window [n, 2n-1]
-    "t_chi60_111": ("chi60_111", Fraction(-1, 120), "window_n_2n1", Fraction(-1, 120),
-                    Fraction(1, 2)),
-    "t_chi60_112": ("chi60_112", Fraction(-49, 120), "window_n1_2n", Fraction(-1, 120),
-                    Fraction(1, 2)),
-    "t_chi24_1": ("chi24_1", Fraction(-1, 24), "alternating", Fraction(-1, 24),
-                  Fraction(1)),
-    "t_chi24_2": ("chi24_2", Fraction(-1, 3), "odd_window", Fraction(-1, 48),
-                  Fraction(1)),
-}
+#: t-series id -> the catalog function whose ``qseries`` spec it expands
+_T_SERIES = {"t_chi60_111": "chi0_star", "t_chi60_112": "chi1_star",
+             "t_chi24_1": "phi_star", "t_chi24_2": "nu_star"}
 
 
-def _t_series_lhs(shape: str, order: int) -> TaylorSeries:
-    k = order
-    total = TaylorSeries.zero(k, "t")
-    n = 0
-    # the n-th term vanishes to the order of its number of (1 - e^(-jt))
-    # factors; the alternating window only vanishes at its odd positions
-    n_max = 2 * k + 2 if shape == "alternating" else k + 1
-    while n <= n_max:
-        if shape == "window_n_2n1":
-            term = exp_series(Fraction(-n), k, "t")
-            for j in range(n, 2 * n):
-                term = term * (TaylorSeries.one(k, "t") - exp_series(Fraction(-j), k, "t"))
-        elif shape == "window_n1_2n":
-            term = exp_series(Fraction(-n), k, "t")
-            for j in range(n + 1, 2 * n + 1):
-                term = term * (TaylorSeries.one(k, "t") - exp_series(Fraction(-j), k, "t"))
-        elif shape == "alternating":
-            # n-th term e^(-(n+1)t) (1-e^(-t))(1+e^(-2t))...(1 - (-1)^(n-1) e^(-nt))
-            term = exp_series(Fraction(-(n + 1)), k, "t")
-            for j in range(1, n + 1):
-                sign = 1 if j % 2 else -1  # (1 - e^-t), (1 + e^-2t), ...
-                term = term * (TaylorSeries.one(k, "t")
-                               - exp_series(Fraction(-j), k, "t") * sign)
-        elif shape == "odd_window":
-            term = exp_series(Fraction(-n), k, "t")
-            for j in range(1, n + 1):
-                term = term * (TaylorSeries.one(k, "t")
-                               - exp_series(Fraction(-(2 * j - 1)), k, "t"))
-        else:
-            raise UnknownIdError(shape)
-        total = total + term
-        n += 1
-    if shape == "alternating":
-        total = total + TaylorSeries.one(k, "t")
-    return total
+def _t_expansion(spec, order: int) -> TaylorSeries:
+    """A ``ProductSum`` at q = e^(-t), exactly, to t^(order-1).
+
+    The running product is kept as t^v * U with U a unit: a factor 1 - q^e,
+    e != 0, is t * (1 - e^(-et))/t, and any other factor is a unit.  A term
+    of valuation v >= order adds nothing, so the sum ends when v reaches the
+    order, which it must do within 2 * order + 2 steps.  v may not fall from
+    one step to the next: the sum would have a pole at q = 1."""
+    total = [Fraction(spec.constant)] + [Fraction(0)] * (order - 1)
+    unit, v = TaylorSeries.one(order, "t"), 0
+    for n in range(spec.start, spec.start + 2 * order + 2):
+        last = v
+        unit = TaylorSeries(unit.coeffs[:order - v], "t")  # all that later terms read
+        for e, c, s in spec.factors(n):
+            if c == 1 and e:
+                g = exp_series(Fraction(-e), order + 1).coeffs[1:]
+                factor, v = TaylorSeries(tuple(-x for x in g), "t"), v + s
+            else:
+                factor = TaylorSeries.one(order, "t") - exp_series(Fraction(-e), order) * c
+            unit = unit * factor if s > 0 else unit.divide(factor)
+        if v < last:
+            raise DomainError(f"the t-valuation falls at step {n}: the sum has a pole "
+                              "at q = 1")
+        if v >= order:
+            return TaylorSeries(tuple(total), "t")
+        term = exp_series(Fraction(-spec.lead(n)), order) * unit * spec.coeff(n)
+        for i in range(order - v):
+            total[v + i] += term.coeffs[i]
+    raise DomainError("the t-valuation rises too slowly: no t-expansion at q = 1")
 
 
 def verify_t_series(spec_id: str, order: int = 10) -> VerificationReport:
-    """Expand the exponential-variable identity to the requested t-order and
-    compare with the L-value series, exactly."""
+    """The registered q-series spec S of a starred function, at q = e^(-t):
+    with the function's character (chi, D, shift) and its scale,
+    e^((shift/D) t) S(e^(-t)) = (1/scale) sum_k L(-2k, chi)/k! (-t/D)^k,
+    compared exactly through t^order."""
+    from . import catalog
+
     try:
-        chi_id, pref_rate, shape, arg_scale, lead = _T_SPECS[spec_id]
+        fn = catalog.get_function(_T_SERIES[spec_id])
     except KeyError:
         raise UnknownIdError(f"unknown t-series id {spec_id!r}; known: "
-                             + ", ".join(sorted(_T_SPECS))) from None
+                             + ", ".join(sorted(_T_SERIES))) from None
+    if order < 0:
+        raise DomainError(f"order must be nonnegative, got {order}")
+    (chi_id, denom, shift), (variant, scale) = fn.character, fn.qseries
     k = order + 1
-    lhs = exp_series(pref_rate, k, "t") * _t_series_lhs(shape, k)
-    rhs_coeffs = []
+    lhs = exp_series(Fraction(shift, denom), k) * _t_expansion(fn.variants[variant], k)
     for i in range(k):
-        li = l_value(chi_id, i, "bernoulli")
-        rhs_coeffs.append(lead * li * arg_scale ** i / math.factorial(i))
-    rhs = TaylorSeries(tuple(rhs_coeffs), "t")
-    for i in range(k - 1):
-        if lhs.coeffs[i] != rhs.coeffs[i]:
+        rhs = l_value(chi_id, i, "bernoulli") * Fraction(-1, denom) ** i \
+            / (scale * math.factorial(i))
+        if lhs.coeffs[i] != rhs:
             return VerificationReport(id=spec_id, status="fail", truncation=order,
                                       first_mismatch=Fraction(i),
-                                      detail=f"t^{i}: {lhs.coeffs[i]} != {rhs.coeffs[i]}")
+                                      detail=f"t^{i}: {lhs.coeffs[i]} != {rhs}")
     return VerificationReport(id=spec_id, status="pass", truncation=order)
 
 
 def t_series_ids() -> list[str]:
-    return sorted(_T_SPECS)
+    return sorted(_T_SERIES)
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +294,7 @@ class AsymptoticReport(Record):
 
 
 def asymptotic_check(char_vector: Sequence[PeriodicFunction], s_matrix,
-                     component: int, n_val: int, k_terms: int,
-                     denominator: Optional[int] = None) -> AsymptoticReport:
+                     component: int, n_val: int, k_terms: int) -> AsymptoticReport:
     """Compare  F(1/N) + sqrt(N/i) sum_b S_ab F_b(-N)  with the truncated
     L-value series sum_(k<=K) L(-2k, chi_a)/k! (pi i/(2 P N))^k.
 
@@ -331,15 +311,14 @@ def asymptotic_check(char_vector: Sequence[PeriodicFunction], s_matrix,
         raise DomainError(f"K must be nonnegative, got {k_terms}")
     chi = char_vector[component]
     two_p = chi.modulus
-    with mpmath.workdps(70):
-        bits = mpmath.mp.prec
-        lhs = chars.eichler_tilde_at_inverse_N(chi, n_val).to_complex(bits)
+    with mpmath.workdps(70):  # the exact values embed at this precision
+        lhs = mpmath.convert(chars.eichler_tilde_at_inverse_N(chi, n_val))
         root = mpmath.sqrt(mpmath.mpf(n_val) / 1j)
         for b, chi_b in enumerate(char_vector):
             s_ab = s_matrix[component][b]
             for a, c in chi_b.basis_coefficients() if s_ab else ():
                 value = chars.eichler_tilde_at_integer(chi_b.half_modulus, a, -n_val)
-                lhs += root * s_ab * c * value.to_complex(bits)
+                lhs += root * s_ab * c * value
         x = mpmath.pi * 1j / (two_p * n_val)
         partial = mpmath.mpc(0)
         for k in range(k_terms + 1):

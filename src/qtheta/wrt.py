@@ -7,13 +7,17 @@ invariant is computed THROUGH these identities, so correctness here means
 cross-method consistency: the same right side is assembled from the exact
 radial-limit route, from exact terminating/collapsing q-series routes, from
 the surgery double sums where they exist, and from an independent numeric
-radial extrapolation.  Square roots of 2 and 3 in prefactors are kept exact
-as cyclotomic combinations, so every route except the numeric one is exact.
+radial extrapolation.  Each right side is written once, with its square roots
+of 2 and 3 and its roots of unity kept exact as cyclotomic numbers, and every
+route returns  RHS * (exact inverse of the prefactor).  On the numeric route
+the function values are mpmath numbers, and the exact constants embed at
+``NUMERIC_DPS`` digits where they meet them (``CycloNumber._mpmath_``).
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -80,50 +84,15 @@ class Prefactor(FrozenRecord):
             den *= d
         return root_weighted_sum(size, terms.items(), den)
 
-    def numeric(self, dps: int = 40) -> mpmath.mpc:
-        with mpmath.workdps(dps):
-            out = mpmath.mpf(self.scalar.numerator) / self.scalar.denominator
-            for m, e in self.roots:
-                out = out * mpmath.expjpi(mpmath.mpf(2 * (e % m)) / m)
-            for m, e in self.minus_one:
-                out = out * (mpmath.expjpi(mpmath.mpf(2 * (e % m)) / m) - 1)
-            return out
 
-
-class _ExactCtx:
-    """Constant builders for the exact route."""
-
-    @staticmethod
-    def root(m: int, e: int) -> CycloNumber:
-        return CycloNumber.root_of_unity(m, e % m)
-
-    sqrt2 = SQRT2
-    sqrt3 = SQRT3
-    one = CycloNumber.one()
-
-
-#: working precision (digits) of the numeric route's right side and division
+#: working precision (digits) of the numeric route's right side and product
 NUMERIC_DPS = 40
-
-
-class _NumericCtx:
-    """Constant builders for the numeric route, built at the working
-    precision in force when the context is made."""
-
-    def __init__(self):
-        self.sqrt2 = mpmath.sqrt(2)
-        self.sqrt3 = mpmath.sqrt(3)
-        self.one = mpmath.mpf(1)
-
-    @staticmethod
-    def root(m: int, e: int) -> mpmath.mpc:
-        return mpmath.expjpi(mpmath.mpf(2 * (e % m)) / m)
 
 
 class SeifertTheorem(Record):
     """One theorem record: ``prefactor(N)`` is a Prefactor, ``points`` holds
     (function id, root order factory, root power factory) per needed value,
-    ``rhs(N, values: dict, ctx)`` gives the right side, and
+    ``rhs(N, values: dict)`` gives the right side with exact constants, and
     ``parity_vanishing`` says that it carries (1 + (-1)^N)."""
 
     __slots__ = ("id", "display_name", "pqr", "prefactor", "points", "rhs",
@@ -159,70 +128,70 @@ def _build_theorems():
         "sigma_2_3_5", "Sigma(2,3,5)", (2, 3, 5),
         lambda n: Prefactor(roots=((n, 1),), minus_one=((n, 1),)),
         (("chi0_star", lambda n: n, lambda n: 1),),
-        lambda n, v, ctx: ctx.one - v["chi0_star"] * Fraction(1, 2)))
+        lambda n, v: 1 - v["chi0_star"] * Fraction(1, 2)))
     _register(SeifertTheorem(
         "m_2_3_4", "M(2,3,4)", (2, 3, 4),
         lambda n: Prefactor(roots=((4 * n, 3),), minus_one=((n, 1),)),
         (("phi_star", lambda n: 2 * n, lambda n: 1),),
-        lambda n, v, ctx: ctx.sqrt2 * Fraction(1, 4) * (2 - v["phi_star"]),
+        lambda n, v: SQRT2 * Fraction(1, 4) * (2 - v["phi_star"]),
         parity_vanishing=True))
     _register(SeifertTheorem(
         "m_2_2_3", "M(2,2,3)", (2, 2, 3),
         lambda n: Prefactor(roots=((4 * n, 1),), minus_one=((n, 1),)),
         (("omega_star", lambda n: 4 * n, lambda n: 1),
          ("omega_star@minus", lambda n: 4 * n, lambda n: 2 * n + 1)),
-        lambda n, v, ctx: (ctx.one - v["omega_star"])
-        + ctx.root(4, n) * (ctx.one - v["omega_star@minus"])))
+        lambda n, v: (1 - v["omega_star"])
+        + CycloNumber.root_of_unity(4, n) * (1 - v["omega_star@minus"])))
     _register(SeifertTheorem(
         "sigma_2_3_7", "Sigma(2,3,7)", (2, 3, 7),
         lambda n: Prefactor(roots=((84 * n, -1),), minus_one=((n, 1),)),
         (("F0_star", lambda n: n, lambda n: 1),),
-        lambda n, v, ctx: v["F0_star"] * Fraction(1, 2)))
+        lambda n, v: v["F0_star"] * Fraction(1, 2)))
     _register(SeifertTheorem(
         "m_2_3_3", "M(2,3,3)", (2, 3, 3),
         lambda n: Prefactor(roots=((2 * n, 1),), minus_one=((n, 1),)),
         (("phi6_star", lambda n: n, lambda n: 1),
          ("psi6_star", lambda n: n, lambda n: 1)),
-        lambda n, v, ctx: (
-            (ctx.one + 2 * ctx.root(3, n)) * ctx.sqrt3 * Fraction(1, 3)
-            * (ctx.one - v["phi6_star"] * Fraction(1, 2))
-            - (ctx.one - ctx.root(3, n)) * ctx.sqrt3 * Fraction(1, 3)
-            * ctx.root(3 * n, 1) * v["psi6_star"])))
+        lambda n, v: (
+            (1 + 2 * CycloNumber.root_of_unity(3, n)) * SQRT3 * Fraction(1, 3)
+            * (1 - v["phi6_star"] * Fraction(1, 2))
+            - (1 - CycloNumber.root_of_unity(3, n)) * SQRT3 * Fraction(1, 3)
+            * CycloNumber.root_of_unity(3 * n, 1) * v["psi6_star"])))
     _register(SeifertTheorem(
         "m_2_2_6", "M(2,2,6)", (2, 2, 6),
         lambda n: Prefactor(roots=((n, 1),), minus_one=((n, 1),)),
         (("phi6_star", lambda n: n, lambda n: 1),),
-        lambda n, v, ctx: 2 * (ctx.one - v["phi6_star"])))
+        lambda n, v: 2 * (1 - v["phi6_star"])))
     _register(SeifertTheorem(
         "m_2_2_2_rho", "M(2,2,2)", (2, 2, 2),
         lambda n: Prefactor(minus_one=((n, 1),)),
         (("rho6_star", lambda n: 6 * n, lambda n: 1),),
-        lambda n, v, ctx: 2 * (ctx.one - 2 * v["rho6_star"])))
+        lambda n, v: 2 * (1 - 2 * v["rho6_star"])))
     _register(SeifertTheorem(
         "m_2_2_5", "M(2,2,5)", (2, 2, 5),
         lambda n: Prefactor(roots=((4 * n, 3),), minus_one=((n, 1),)),
         (("Psi10_star", lambda n: 4 * n, lambda n: 1),
          ("X10_star", lambda n: n, lambda n: 2)),
-        lambda n, v, ctx: (
-            ctx.one + ctx.root(4, -n)
-            - (ctx.one - ctx.root(4, -n)) * v["Psi10_star"]
-            - 2 * ctx.root(4, -n) * v["X10_star"])))
+        lambda n, v: (
+            1 + CycloNumber.root_of_unity(4, -n)
+            - (1 - CycloNumber.root_of_unity(4, -n)) * v["Psi10_star"]
+            - 2 * CycloNumber.root_of_unity(4, -n) * v["X10_star"])))
     _register(SeifertTheorem(
         "m_2_2_2_d5", "M(2,2,2)", (2, 2, 2),
         lambda n: Prefactor(minus_one=((n, 1),)),
         (("D5_star", lambda n: 2 * n, lambda n: 1),),
-        lambda n, v, ctx: 2 * (ctx.one - 2 * v["D5_star"])))
+        lambda n, v: 2 * (1 - 2 * v["D5_star"])))
     _register(SeifertTheorem(
         "m_2_2_4", "M(2,2,4)", (2, 2, 4),
         lambda n: Prefactor(minus_one=((n, 1),)),
         (("D6_star", lambda n: 4 * n, lambda n: 1),),
-        lambda n, v, ctx: ctx.one - v["D6_star"],
+        lambda n, v: 1 - v["D6_star"],
         parity_vanishing=True))
     _register(SeifertTheorem(
         "m_2_2_8", "M(2,2,8)", (2, 2, 8),
         lambda n: Prefactor(roots=((4 * n, 3),), minus_one=((n, 1),)),
         (("I12_star", lambda n: 2 * n, lambda n: 1),),
-        lambda n, v, ctx: ctx.one - v["I12_star"],
+        lambda n, v: 1 - v["I12_star"],
         parity_vanishing=True))
 
 
@@ -261,29 +230,18 @@ class WRTResult(Record):
 
 
 def _assemble_rhs(thm: SeifertTheorem, n_val: int, method: str) -> Value:
-    """Right side of the theorem with function values from the given route;
-    the numeric route works at ``NUMERIC_DPS`` digits."""
-    route = _METHOD_TO_ROUTE[method]
-    if route != "radial":
-        return _rhs(thm, n_val, route, _ExactCtx)
-    with mpmath.workdps(NUMERIC_DPS):
-        return _rhs(thm, n_val, route, _NumericCtx())
-
-
-def _rhs(thm: SeifertTheorem, n_val: int, route: str, ctx) -> Value:
+    """Right side of the theorem with function values from the given route
+    (the numeric one at ``NUMERIC_DPS`` working digits)."""
     if thm.vanishes(n_val):
         # the parity factor (1 + (-1)^N) is exactly zero: the right side
         # vanishes identically, whatever the function values would be
-        return CycloNumber.zero() if route != "radial" else mpmath.mpc(0)
-    values = {}
-    for label, order_of, power_of in thm.points:
-        fn_id = label.split("@")[0]
-        values[label] = catalog.value_at_root(fn_id, order_of(n_val), power_of(n_val),
-                                              method=route)
-    rhs = thm.rhs(n_val, values, ctx)
-    if thm.parity_vanishing:
-        rhs = rhs * 2  # (1 + (-1)^N) at even N
-    return rhs
+        return CycloNumber.zero()
+    route = _METHOD_TO_ROUTE[method]
+    values = {label: catalog.value_at_root(label.split("@")[0], order_of(n_val),
+                                           power_of(n_val), method=route)
+              for label, order_of, power_of in thm.points}
+    rhs = thm.rhs(n_val, values)
+    return rhs * 2 if thm.parity_vanishing else rhs  # (1 + (-1)^N) at even N
 
 
 def wrt_invariant(manifold: str, n_val: int, method: str = "eichler_limit") -> WRTResult:
@@ -306,17 +264,15 @@ def wrt_invariant(manifold: str, n_val: int, method: str = "eichler_limit") -> W
         raise DegenerateCaseError(
             f"{thm.display_name} at odd N: the right side carries the factor "
             "(1 + (-1)^N) = 0, so tau_N is undetermined by this identity")
-    try:
-        rhs = _assemble_rhs(thm, n_val, method)
-    except DivergenceError as exc:
-        raise UnsupportedMethodError(
-            f"{method} is not available for {manifold} at N={n_val}: {exc}") from exc
-    pre = thm.prefactor(n_val)
-    if isinstance(rhs, CycloNumber):
-        value = rhs * pre.inverse()
-    else:
-        with mpmath.workdps(NUMERIC_DPS):
-            value = rhs / pre.numeric(NUMERIC_DPS)
+    # the numeric route's values, right side and product run at NUMERIC_DPS
+    # digits; an exact route enters no mpmath context, so never loads mpmath
+    with mpmath.workdps(NUMERIC_DPS) if method == "radial_numeric" else nullcontext():
+        try:
+            rhs = _assemble_rhs(thm, n_val, method)
+        except DivergenceError as exc:
+            raise UnsupportedMethodError(
+                f"{method} is not available for {manifold} at N={n_val}: {exc}") from exc
+        value = rhs * thm.prefactor(n_val).inverse()
     return WRTResult(manifold, n_val, method, value)
 
 
@@ -326,9 +282,9 @@ def cross_verify(manifold: str, n_values: Sequence[int], tolerance: float = 1e-1
 
     Exact routes must agree exactly; where no exact second route exists (and
     when ``always_numeric`` is set) the independent numeric radial route must
-    agree within the tolerance at 128-bit embedding precision.  For the
-    parity-vanishing theorems at odd N the report asserts that the assembled
-    right side is exactly zero.
+    agree within the tolerance, the difference taken at ``NUMERIC_DPS``
+    digits.  For the parity-vanishing theorems at odd N the report asserts
+    that the assembled right side is exactly zero.
     """
     if manifold in ("s3", "s2xs1"):
         raise DomainError(f"{manifold} is a normalisation record with a single route: "
@@ -359,12 +315,12 @@ def cross_verify(manifold: str, n_values: Sequence[int], tolerance: float = 1e-1
                 status = "fail"
                 detail_parts.append(f"{method} disagrees exactly")
         if always_numeric or not compared:
-            num = _assemble_rhs(thm, n_val, "radial_numeric")
-            diff = abs(complex(num) - complex(base.to_complex(128)))
+            with mpmath.workdps(NUMERIC_DPS):
+                diff = abs(_assemble_rhs(thm, n_val, "radial_numeric") - base)
             compared.append("radial_numeric")
             if diff > tolerance:
                 status = "fail"
-                detail_parts.append(f"radial defect {diff:.2e}")
+                detail_parts.append(f"radial defect {float(diff):.2e}")
         reports.append(VerificationReport(
             id=f"{manifold}[N={n_val}]", status=status,
             detail=(f"eichler_limit vs {', '.join(compared)}"

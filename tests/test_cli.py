@@ -276,6 +276,25 @@ def test_wrt_cross_on_normalization_exits_two():
         assert code == 2 and out == "" and "nothing to cross-verify" in err, manifold
 
 
+def test_precision_bits_below_64_exits_two(tmp_path, monkeypatch):
+    """Values print with 17 significant digits, so an embedding below 64 bits
+    would print wrong digits; it is refused from the environment and from a
+    config file alike."""
+    monkeypatch.chdir(tmp_path)
+    argv = ("wrt", "sigma_2_3_5", "7")
+    for bits in ("0", "63"):
+        monkeypatch.setenv("QTHETA_PRECISION_BITS", bits)
+        code, out, err = run_cli(*argv)
+        assert code == 2 and out == "" and f"precision_bits must be at least 64, got {bits}" in err
+    monkeypatch.setenv("QTHETA_PRECISION_BITS", "64")
+    code, out, _ = run_cli(*argv)
+    assert code == 0 and "complex: (-3.64794847161988" in out
+    monkeypatch.delenv("QTHETA_PRECISION_BITS")
+    (tmp_path / "qtheta.conf").write_text("precision_bits = 32\n")
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == "" and "precision_bits must be at least 64" in err
+
+
 def test_jobs_below_one_exits_two(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     argv = ("verify", "--all", "--tags", "structural", "--order", "40")

@@ -159,3 +159,18 @@ def test_inverse_properties(pair):
 
 def test_inverse_serialization_form():
     assert (CycloNumber.root_of_unity(3) - 1).inv().text() == "M=3; [-2/3, -1/3]"
+
+
+@pytest.mark.parametrize("dps", [20, 60])
+def test_mpmath_conversion_hook(dps):
+    """In arithmetic with an mpc, a CycloNumber embeds at the caller's working
+    precision, from either side of the operator."""
+    x = CycloNumber.from_coords(12, [Fraction(1, 3), -2, Fraction(5, 7), 1])
+    with mpmath.workdps(dps):
+        z = mpmath.mpc(mpmath.mpf(1) / 3, mpmath.sqrt(2))
+        embedded = x.to_complex(mpmath.mp.prec)
+        assert z * x == z * embedded
+        assert x * z == embedded * z
+        assert x - z == embedded - z
+        assert z - x == z - embedded
+        assert abs(x - x.to_complex(400)) < mpmath.mpf(10) ** (5 - dps)

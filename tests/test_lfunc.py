@@ -116,6 +116,43 @@ def test_t_series_order_zero_is_l0():
     assert verify_t_series("t_chi60_111", 0).passed
 
 
+T_SERIES_FUNCTIONS = ("chi0_star", "chi1_star", "phi_star", "nu_star")
+
+
+def test_t_expansion_constant_term_is_the_value_at_one():
+    """Two independent engines at q = 1: the t^0 coefficient of the spec at
+    q = e^(-t) and the exact root-of-unity evaluation at zeta_1^0."""
+    from qtheta import catalog
+    for fn_id in T_SERIES_FUNCTIONS:
+        variant, _ = catalog.get_function(fn_id).qseries
+        spec = catalog.get_function(fn_id).variants[variant]
+        got = lfunc._t_expansion(spec, 3).coeffs[0]
+        assert catalog.variant_at_root(fn_id, variant, 1, 0) == got, fn_id
+
+
+def test_t_expansion_rejects_a_falling_valuation():
+    # omega_star's defining sum starts with 1/(1 - q): a pole at q = 1
+    from qtheta import catalog
+    spec = catalog.get_function("omega_star").variants["defining"]
+    with pytest.raises(DomainError, match="pole"):
+        lfunc._t_expansion(spec, 5)
+
+
+def test_t_series_reads_the_catalog_spec(monkeypatch):
+    """The t-series record checks the spec the other engines read: dropping
+    the n = 0 term of nu_star's registered finite form fails at t^0."""
+    from qtheta import catalog
+    from qtheta.series import ProductSum
+    fn = catalog.get_function("nu_star")
+    spec = fn.variants["finite"]
+    broken = ProductSum(spec.lead, spec.factors, start=1)
+    monkeypatch.setitem(catalog._functions, "nu_star", catalog.NamedFunction(
+        fn.id, fn.order_label, {**fn.variants, "finite": broken}, fn.character,
+        fn.weight, fn.qseries))
+    report = verify_t_series("t_chi24_2", 5)
+    assert not report.passed and report.first_mismatch == 0
+
+
 def test_asymptotic_p2():
     reports = [asymptotic_check_basis(2, 1, n, 4) for n in (50, 100, 200)]
     for rep in reports:

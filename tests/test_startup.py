@@ -70,3 +70,30 @@ def test_numeric_command_loads_mpmath_and_prints_in_process_value():
     value = wrt.wrt_invariant("m_2_3_3", 4, "radial_numeric").value
     want = cli._format_value(value, 128)["complex"]
     assert state["stdout"].splitlines()[-1] == f"  complex: {want}"
+
+
+#: computes tau_N by the two exact routes that need no numeric step, at every
+#: record and N = 2..12, and prints whether mpmath has loaded
+EXACT_WRT = """
+import json, sys
+from qtheta import wrt
+from qtheta.errors import DegenerateCaseError, UnsupportedMethodError
+count = 0
+for manifold in wrt.theorem_ids():
+    for method in ("eichler_limit", "surgery_series"):
+        for n in range(2, 13):
+            try:
+                count += bool(wrt.wrt_invariant(manifold, n, method).value.text())
+            except (DegenerateCaseError, UnsupportedMethodError):
+                pass
+print(json.dumps({"count": count, "mpmath": "mpmath.ctx_mp" in sys.modules}))
+"""
+
+
+def test_exact_invariants_do_not_load_mpmath():
+    env = {k: v for k, v in os.environ.items() if not k.startswith("QTHETA_")}
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.run([sys.executable, "-c", EXACT_WRT], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    state = json.loads(proc.stdout.splitlines()[-1])
+    assert state["count"] > 100 and not state["mpmath"]
