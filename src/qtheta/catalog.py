@@ -1,14 +1,15 @@
 """Named catalog of the mock theta functions and their series variants.
 
-Every variant of a function is one declarative spec: a ``ProductSum`` (a sum
-of monomials times a running product of linear factors) or a ``DoubleSum``
-(a Gaussian-binomial double sum), both from ``series``.  The formal engine
-expands a spec to any truncation, and the root engines below evaluate the
-same spec at roots of unity, so each series form is written down once.  The
-``false_theta`` variant is derived from the registered character expansion.
-All variants of one id agree coefficient-by-coefficient at any common
-truncation; the identity registry in ``identities`` turns that statement into
-runnable checks.
+Every variant of a function is one declarative spec from ``series``: a
+``ProductSum`` (a sum of monomials times a running product of linear
+factors), a ``DoubleSum`` (a sum of groups of Gaussian binomials) or a
+``ThetaSum`` (a theta series).  The formal engine expands a spec to any
+truncation, and the root engines below evaluate the same spec at roots of
+unity, so each series form is written down once.  The ``false_theta``
+variant is the ThetaSum of the registered character expansion.  All variants
+of one id agree coefficient-by-coefficient at any common truncation; the
+identity registry in ``identities`` turns that statement into runnable
+checks.
 
 Starred functions are evaluated at roots of unity by several independent
 routes:
@@ -17,7 +18,9 @@ routes:
   Bernoulli-weighted character sum;
 * ``qseries``  - exact evaluation of one registered spec at the root: a
   spec with numerator factors as a terminating sum, one without as a
-  geometrically collapsing sum, a double sum by group termination.
+  geometrically collapsing sum, a double sum by group termination.  Where
+  that spec does not terminate at the root, the function's registered
+  ``double_sum`` variant is evaluated instead.
   The Le-type rewritings of the order-5 functions and the double-sum form of
   the order-7 function evaluate at roots to exactly half the radial limit
   (their tails contribute a second copy in the limit); the published factor
@@ -41,18 +44,18 @@ from .cyclo import CycloNumber, _context, ring_is_zero, ring_value
 from .errors import (DivergenceError, DomainError, UnknownIdError,
                      UnsupportedMethodError)
 from .report import FrozenRecord, Record, VerificationReport
-from .series import (DoubleSum, Monomial, ProductSum, QSeries, coeff_pow, pochhammer,
-                     pochhammer_inverse)
+from .series import (DoubleSum, Monomial, ProductSum, QSeries, ThetaSum, coeff_pow,
+                     pochhammer, pochhammer_inverse)
 
 
 class NamedFunction(FrozenRecord):
     """A catalog function.
 
-    ``variants`` maps a name to a ProductSum, a DoubleSum or a callable
-    T -> QSeries; ``character`` is the character expansion data of a starred
-    function, (character id, D, shift), and ``weight`` the overall factor in
-    front of it; ``qseries`` is the (variant, scale) of the exact q-series
-    route: radial limit = scale * value."""
+    ``variants`` maps a name to a ProductSum, DoubleSum or ThetaSum spec;
+    ``character`` is the character expansion data of a starred function,
+    (character id, D, shift), and ``weight`` the overall factor in front of
+    it; ``qseries`` is the (variant, scale) of the exact q-series route:
+    radial limit = scale * value."""
 
     __slots__ = ("id", "order_label", "variants", "character", "weight", "qseries")
     _defaults = {"variants": MappingProxyType({}), "character": None, "weight": 1,
@@ -66,7 +69,7 @@ class NamedFunction(FrozenRecord):
             raise UnknownIdError(
                 f"function {self.id!r} has no variant {name!r} "
                 f"(has: {', '.join(sorted(self.variants))})") from None
-        return spec.series if isinstance(spec, (ProductSum, DoubleSum)) else spec
+        return spec.series
 
 
 _functions: dict[str, NamedFunction] = {}
@@ -193,43 +196,19 @@ _D6_run = _times(_mq2_q2, _inv_qn1_n1)
 _I12_run = _times(_mq_q2, _inv_qn1_n1)
 
 
-def _false_theta(char_id: str, denom: int, shift: int, weight: int):
-    def gen(t):
-        s = chars.eichler_tilde_series(chars.get_character(char_id), denom, shift, t * denom)
-        return s * weight if weight != 1 else s
-    return gen
-
-
-def _chi3_star_false(t):
-    chi = chars.get_character("psi6_1")
-    coeffs = {}
-    n = 0
-    while n * n - 1 < 24 * t:
-        c = chi(n)
-        if c:
-            val = (1 + _z12(-4 * n)) * c
-            if val:
-                coeffs[n * n - 1] = val
-        n += 1
-    return QSeries.make(24, 24 * t, coeffs, 12)
-
-
-def _rho3_star_false(t):
-    chi = chars.get_character("psi6_1p2")
-    coeffs = {}
-    n = 0
-    while n * n - 1 < 3 * t:
-        c = chi(n)
-        if c:
-            coeffs[n * n - 1] = _z12(4 - 4 * n) * c
-        n += 1
-    return QSeries.make(3, 3 * t, coeffs, 12)
+def _alternating(exponent, sign: int = 1):
+    """Groups of sign * sum_(n=0..k) (-1)^n [k n] q^exponent(k, n), as the
+    ``terms`` of a DoubleSum."""
+    return lambda k: [(n, exponent(k, n), -sign if n % 2 else sign) for n in range(k + 1)]
 
 
 def _fn(fn_id: str, order_label: str, character=None, weight: int = 1, qseries=None,
         **variants):
     if character is not None:
-        variants.setdefault("false_theta", _false_theta(*character, weight))
+        char_id, denom, shift = character
+        chi = chars.get_character(char_id)
+        variants.setdefault("false_theta", ThetaSum(
+            denom, shift, chi if weight == 1 else lambda n: weight * chi(n)))
     register_function(NamedFunction(fn_id, order_label, variants, character, weight,
                                     qseries))
 
@@ -244,7 +223,7 @@ def _build_functions():
         le_product=P(lambda m: 2 * m + 1, _qn1_n, constant=1),
         le_sum=P(lambda n: n, _qn_n),
         surgery=D(lambda k: k * (k + 1) + 1,
-                  lambda k, n: k * (k + 1) + n * (3 * n + 5) // 2 + k * n + 1))
+                  _alternating(lambda k, n: k * (k + 1) + n * (3 * n + 5) // 2 + k * n + 1)))
     _fn("chi1_star", "5", ("chi60_112", 120, -49), qseries=("le", 2),
         defining=P(lambda n: 3 * n * (n + 1) // 2, _inv_qn1_n1, _alt),
         le=P(lambda n: n, _qn1_n))
@@ -256,7 +235,8 @@ def _build_functions():
         defining=P(lambda n: n, _inv_mq2_q2),
         finite=P(lambda n: n + 1, lambda n: [(n, _neg_alt(n), 1)] if n else [],
                  constant=1),
-        surgery=D(lambda k: k * k + 1, lambda k, n: n * (2 * n + 3) + k * k + 1, step=2))
+        surgery=D(lambda k: k * k + 1,
+                  _alternating(lambda k, n: n * (2 * n + 3) + k * k + 1), step=2))
     _fn("phi_star_minus", "3", ("psi6_1", 24, -1),
         defining=P(lambda n: n, _inv_mq2_q2, _alt))
     _fn("nu_star", "3", ("chi24_2", 24, -16), qseries=("finite", 1),
@@ -276,10 +256,11 @@ def _build_functions():
         defining=P(lambda n: n * n, lambda n: [(n, -1, 1), (3 * n, -1, -1)] if n else []),
         fine_form=P(lambda n: n, lambda n: [(n, -_z12(4), -1)],
                     lambda n: -_z12(4 + 2 * n), start=1, constant=_z12(0)))
+    psi6_1, psi6_1p2 = chars.get_character("psi6_1"), chars.get_character("psi6_1p2")
     _fn("chi3_star", "3",
         defining=P(lambda n: n * (n - 1) // 2, lambda n: [(n, _z12(2), -1)],
                    lambda n: -_z12(4 - 2 * n), start=1, constant=1),
-        false_theta=_chi3_star_false)
+        false_theta=ThetaSum(24, -1, lambda n: (1 + _z12(-4 * n)) * psi6_1(n), 12))
     _fn("rho3", "3",
         defining=P(lambda n: 2 * n * (n + 1),
                    lambda n: [(2 * n + 1, 1, 1), (6 * n + 3, 1, -1)]),
@@ -288,7 +269,7 @@ def _build_functions():
     _fn("rho3_star", "3",
         defining=P(lambda n: n * (n + 1), lambda n: [(2 * n + 1, _z12(8), -1)],
                    lambda n: _z12(-2 * n)),
-        false_theta=_rho3_star_false)
+        false_theta=ThetaSum(3, -1, lambda n: _z12(4 - 4 * n) * psi6_1p2(n), 12))
 
     # order 7
     _fn("F0", "7", defining=P(lambda n: n * n, _inv_qn1_n))
@@ -297,9 +278,9 @@ def _build_functions():
     _fn("F0_star", "7", ("chi84_111", 168, -1), qseries=("double_sum", 2),
         defining=P(lambda n: n * (n + 1) // 2, _inv_qn1_n, _alt),
         double_sum=D(lambda k: 2 * k + 1,
-                     lambda k, n: (n + 2) * k - n * (n + 1) // 2 + 1, sign=-1),
+                     _alternating(lambda k, n: (n + 2) * k - n * (n + 1) // 2 + 1, -1)),
         surgery=D(lambda k: (k + 1) ** 2 + k,
-                  lambda k, n: k + n * (n - 1) // 2 + (k + n + 1) ** 2, sign=-1))
+                  _alternating(lambda k, n: k + n * (n - 1) // 2 + (k + n + 1) ** 2, -1)))
     _fn("F1_star", "7", ("chi84_112", 168, -25),
         defining=P(lambda n: n * (n - 1) // 2, _inv_qn_n, _alt, start=1))
     _fn("F2_star", "7", ("chi84_113", 168, -121),
@@ -326,7 +307,10 @@ def _build_functions():
     _fn("Psi10_star", "10", ("psi10_1p4", 5, -1), qseries=("defining", 1),
         defining=P(lambda n: n * (n + 1) // 2, _inv_q_q2, _alt))
     _fn("X10_star", "10", ("psi10_1", 40, -1), qseries=("defining", 1),
-        defining=P(lambda n: n * (n + 1), _inv_mq_2n, _alt))
+        defining=P(lambda n: n * (n + 1), _inv_mq_2n, _alt),
+        double_sum=D(lambda k: k + 1, lambda k: [
+            (k - 2 * n + 1, n * (n + 1) + k - 2 * n + 1, -1 if (k - n + 1) % 2 else 1)
+            for n in range(1, (k + 1) // 2 + 1)]))
     _fn("chi10_star", "10", ("psi10_3", 40, -9),
         defining=P(lambda n: n * (n + 1), _inv_mq_2n1, _alt))
 
@@ -571,9 +555,13 @@ def _collapse_sum(m: int, j: int, spec: ProductSum) -> CycloNumber:
             continue
         order = math.lcm(*(o for step in facs[:p + 1] for _, _, o in step),
                          *(o for _, _, o in units[:p + 1]))
-        w0 = product(ring.unit_vector(), 1, p)
-        # the ratio is (u_p/u_0) / W_0, and |u_p/u_0| = 1
-        if abs(complex(ring_value(w0, order).to_complex(64))) <= 1:
+        # the ratio is (u_p/u_0) / W_0, and |u_p/u_0| = 1; |W_0| = 1 is
+        # decided exactly, as W_0 conj(W_0) = 1 with conj(zeta^i) = zeta^(-i)
+        w0 = ring_value(product(ring.unit_vector(), 1, p), order)
+        conj = [0] * order
+        for i, c in enumerate(w0.num):
+            conj[-i % order] += c
+        if w0 * ring_value(conj, order) == 1 or abs(complex(w0.to_complex(64))) < 1:
             raise DivergenceError("periodic term ratio does not contract")
         head = times_unit(ring.unit_vector(), 0)  # (t_0 + ... + t_(p-1)) f_0 ... f_(p-1)
         for n in range(1, p):
@@ -589,12 +577,11 @@ def _collapse_sum(m: int, j: int, spec: ProductSum) -> CycloNumber:
     raise DivergenceError("no exact geometric period found")
 
 
-def _grouped_sum_at_root(m: int, j: int, terms, *, step: int = 1,
-                         constant: int = 1) -> CycloNumber:
-    """Sum over the outer index of a double sum whose inner groups vanish
-    identically beyond a finite outer index at this root of unity.
+def _grouped_sum_at_root(m: int, j: int, spec: DoubleSum) -> CycloNumber:
+    """Sum a DoubleSum over its outer index k at zeta_m^j, where its groups
+    vanish identically beyond a finite outer index.
 
-    ``terms(k)`` lists the k-th group as triples (n, e, s) standing for
+    ``spec.terms(k)`` lists the k-th group as triples (n, e, s) standing for
     s [k n] q^e, [k n] the Gaussian binomial in q^step.  Groups are
     accumulated until a run of 2R consecutive exact zeros appears (R = order
     of the evaluation point); a hard cap reports nontermination.  At a base
@@ -606,7 +593,7 @@ def _grouped_sum_at_root(m: int, j: int, terms, *, step: int = 1,
     r = ring.size
     zero_run_needed = 2 * r
     cap = 12 * r + 24
-    w = ring.jr * step % r
+    w = ring.jr * spec.step % r
     d = ring.order(w)
     one = ring.unit_vector()
     row = [one]  # [k mod d, b]_w for b <= k mod d
@@ -621,7 +608,7 @@ def _grouped_sum_at_root(m: int, j: int, terms, *, step: int = 1,
             row = [one]
         scaled: dict = {}  # (n mod d, exponent) -> summed integer weight
         group_order = 1
-        for n, e, s in terms(k):
+        for n, e, s in spec.terms(k):
             a = ring.jr * e % r
             group_order = math.lcm(group_order, ring.order(a), d if 0 < n < k else 1)
             nq, nr = divmod(n, d)
@@ -634,29 +621,13 @@ def _grouped_sum_at_root(m: int, j: int, terms, *, step: int = 1,
         if ring_is_zero(group[::r // group_order]):
             run += 1
             if run >= zero_run_needed:
-                total[0] += constant
+                total[0] += spec.constant
                 return ring_value(total, order)
         else:
             total = list(map(add, total, group))
             order = math.lcm(order, group_order)
             run = 0
     raise DivergenceError(f"double sum groups did not vanish within {cap} outer terms")
-
-
-def _double_sum_at_root(m: int, j: int, spec: DoubleSum) -> CycloNumber:
-    def terms(k: int):
-        return [(n, spec.exponent(k, n), -1 if (n % 2 == 1) == (spec.sign > 0) else 1)
-                for n in range(k + 1)]
-    return _grouped_sum_at_root(m, j, terms, step=spec.step, constant=spec.constant)
-
-
-def _X10_star_grouped_at_root(m: int, j: int) -> CycloNumber:
-    """X10_star as a double sum, for the roots where its defining sum does not
-    collapse."""
-    def terms(k: int):
-        return [(k - 2 * n + 1, n * (n + 1) + k - 2 * n + 1, -1 if (k - n + 1) % 2 else 1)
-                for n in range(1, (k + 1) // 2 + 1)]
-    return _grouped_sum_at_root(m, j, terms, constant=1)
 
 
 def _le_sum_at_root(m: int, j: int, offset: int) -> CycloNumber:
@@ -695,7 +666,7 @@ def variant_at_root(fn_id: str, variant: str, root_order: int,
         return _le_sum_at_root(m, j, _LE_OFFSETS[fn_id, variant])
     spec = get_function(fn_id).variants.get(variant)
     if isinstance(spec, DoubleSum):
-        return _double_sum_at_root(m, j, spec)
+        return _grouped_sum_at_root(m, j, spec)
     if not isinstance(spec, ProductSum):
         raise UnsupportedMethodError(f"{fn_id} variant {variant!r} has no exact "
                                      "evaluation at roots")
@@ -729,9 +700,9 @@ def value_at_root(fn_id: str, root_order: int, root_power: int = 1,
         try:
             v = variant_at_root(fn_id, variant, root_order, root_power)
         except DivergenceError:
-            if fn_id != "X10_star":
+            if variant == "double_sum" or "double_sum" not in fn.variants:
                 raise
-            v = _X10_star_grouped_at_root(root_order, root_power)
+            v = variant_at_root(fn_id, "double_sum", root_order, root_power)
         return v * scale if scale != 1 else v
     if method == "surgery":
         if "surgery" not in fn.variants:
@@ -860,11 +831,9 @@ def bailey_reduced_identity(pair: BaileyPair, truncation: int) -> VerificationRe
         truncation=t, first_mismatch=mm)
 
 
-_SURGERY_SERIES_IDS = {
-    "chi0_star_surgery": ("chi0_star", "surgery"),
-    "phi_star_surgery": ("phi_star", "surgery"),
-    "F0_star_surgery": ("F0_star", "surgery"),
-}
+#: surgery series id -> the function whose ``surgery`` variant it expands
+_SURGERY_SERIES_IDS = {f"{fn_id}_surgery": fn_id for fn_id, fn in _functions.items()
+                       if "surgery" in fn.variants}
 
 
 def surgery_series(series_id: str, truncation: int) -> QSeries:
@@ -873,11 +842,11 @@ def surgery_series(series_id: str, truncation: int) -> QSeries:
     functions is an identity record; it has no direct proof and is confirmed
     empirically)."""
     try:
-        fn_id, variant = _SURGERY_SERIES_IDS[series_id]
+        fn_id = _SURGERY_SERIES_IDS[series_id]
     except KeyError:
         raise UnknownIdError(f"unknown surgery series {series_id!r}; known: "
                              + ", ".join(sorted(_SURGERY_SERIES_IDS))) from None
-    return expand(fn_id, truncation, variant)
+    return expand(fn_id, truncation, "surgery")
 
 
 # identity registry lives in a sibling module; re-export its interface

@@ -2,8 +2,8 @@
 
 A PeriodicFunction is an integer-valued odd function of modulus 2P stored as
 an explicit value table.  The module builds the classical weight-3/2 theta
-sums over these characters, their formal half-integrated q-series, the exact
-closed forms of those series at arguments 1/N and N, and the general radial
+sums over these characters, the exact closed forms of their half-integrated
+q-series (``series.ThetaSum``) at arguments 1/N and N, and the general radial
 (Abel) limit of a shifted character sum at any root of unity, which is the
 workhorse for quantum-invariant evaluation.
 """
@@ -18,7 +18,6 @@ from typing import Sequence
 from .cyclo import CycloNumber, _prime_factors, mpmath, root_weighted_sum
 from .errors import DomainError, PrecisionError, UnknownIdError
 from .report import FrozenRecord, Record, VerificationReport, set_field
-from .series import QSeries
 
 _registry: dict[str, "PeriodicFunction"] = {}
 
@@ -48,9 +47,6 @@ class PeriodicFunction(FrozenRecord):
 
     def max_abs(self) -> int:
         return max(abs(v) for v in self.values) if self.values else 0
-
-    def support(self) -> list[int]:
-        return [n for n in range(self.modulus) if self.values[n]]
 
     def __add__(self, other: "PeriodicFunction") -> "PeriodicFunction":
         if self.modulus != other.modulus:
@@ -142,28 +138,6 @@ def _build_registry():
 
 
 _build_registry()
-
-
-# ---------------------------------------------------------------------------
-# Formal q-series of half-integrated theta sums
-# ---------------------------------------------------------------------------
-
-def eichler_tilde_series(chi: PeriodicFunction, exponent_denominator: int,
-                         exponent_shift: int, truncation: int) -> QSeries:
-    """sum_(n>=0) chi(n) q^((n^2 + shift)/denominator) as an exact series."""
-    coeffs: dict = {}
-    n = 0
-    while True:
-        e = n * n + exponent_shift
-        if e >= truncation:
-            break
-        c = chi(n)
-        if c:
-            if e < 0:
-                raise DomainError(f"negative exponent at n={n} in shifted character sum")
-            coeffs[e] = coeffs.get(e, 0) + c
-        n += 1
-    return QSeries.make(exponent_denominator, truncation, coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -34,10 +34,13 @@ from .report import FrozenRecord, set_field
 def _lazy_module(name: str):
     """The module ``name``, bound now and executed on its first attribute
     access (the ``importlib.util.LazyLoader`` recipe of the standard library);
-    a module already imported is returned as it is."""
+    a module already imported is returned as it is, and a missing one raises
+    ModuleNotFoundError."""
     if name in sys.modules:
         return sys.modules[name]
     spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
     loader = importlib.util.LazyLoader(spec.loader)
     spec.loader = loader
     module = importlib.util.module_from_spec(spec)

@@ -32,7 +32,7 @@ from typing import Optional, Union
 from . import catalog, chars
 from .errors import DivergenceError, DomainError, QThetaError
 from .report import FrozenRecord, VerificationReport
-from .series import (INFINITY, Monomial, QSeries, pochhammer, q_binomial,
+from .series import (INFINITY, Monomial, QSeries, ThetaSum, pochhammer, q_binomial,
                      substitute_power, substitute_sign)
 
 
@@ -493,7 +493,7 @@ def eval_series(node, env: dict, trunc: int) -> QSeries:
         expo = _evalnum(node.exponent, env)
         if isinstance(node.base, Q):
             if expo < 0:
-                raise DomainError("negative powers of q need a Laurent context")
+                raise DomainError("a negative power of q is not a power series")
             m = Monomial.q(expo)
             return QSeries.from_monomial(m, trunc * m.den, m.den)
         base = eval_series(node.base, env, trunc)
@@ -524,8 +524,7 @@ def eval_series(node, env: dict, trunc: int) -> QSeries:
     if isinstance(node, QTheta):
         denom = _as_int(_evalnum(node.denom, env), "exponent denominator")
         shift = _as_int(_evalnum(node.shift, env), "exponent shift")
-        chi = chars.get_character(node.char_id)
-        return chars.eichler_tilde_series(chi, denom, shift, trunc * denom)
+        return ThetaSum(denom, shift, chars.get_character(node.char_id)).series(trunc)
     if isinstance(node, Call):
         arg = _eval_monomial(node.arg, env, "function argument")
         if arg.exponent <= 0:
@@ -582,8 +581,6 @@ def _eval_sum(node: Sum, env: dict, trunc: int) -> QSeries:
         total = total + term
         if hi is None:
             cap = 4 * trunc * max(total.denom, term.denom) + 64
-            if lead is not None and lead >= trunc:
-                break
             if lead is None or (prev_lead is not None and lead <= prev_lead):
                 stall += 1
                 if stall > cap:

@@ -380,17 +380,17 @@ def verify_fine_andrews_specializations(truncation: int = 150) -> list[Verificat
 def _build_tseries():
     def make_runner(spec_id):
         def runner(order):
-            from . import lfunc
             return lfunc.verify_t_series(spec_id, order)
         return runner
 
-    for spec_id in ("t_chi60_111", "t_chi60_112", "t_chi24_1", "t_chi24_2"):
+    from . import lfunc
+
+    for spec_id in lfunc.t_series_ids():
         _register(IdentityRecord(
             spec_id, f"exponential-variable expansion matches L-values ({spec_id})",
             10, make_runner(spec_id), frozenset(("tseries",))))
 
     def lvalue_runner(kmax):
-        from . import lfunc
         return lfunc.verify_l_value_routes(kmax)
 
     _register(IdentityRecord(

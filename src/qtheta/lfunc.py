@@ -22,7 +22,7 @@ from . import chars
 from .chars import PeriodicFunction, m_matrix, psi_basis, theta_numeric
 from .cyclo import mpmath
 from .errors import DomainError, PrecisionError, UnknownIdError
-from .report import FrozenRecord, Record, VerificationReport, set_field
+from .report import FrozenRecord, Record, VerificationReport
 
 
 # ---------------------------------------------------------------------------
@@ -64,29 +64,23 @@ def bernoulli_at(k: int, x: Fraction) -> Fraction:
 class TaylorSeries(FrozenRecord):
     """Dense truncated series sum c_i x^i, exact rationals, known for i < order."""
 
-    __slots__ = ("coeffs", "variable")
-
-    def __init__(self, coeffs: tuple, variable: str = "x"):
-        set_field(self, "coeffs", coeffs)
-        set_field(self, "variable", variable)
+    __slots__ = ("coeffs",)
 
     @property
     def order(self) -> int:
         return len(self.coeffs)
 
     @staticmethod
-    def one(order: int, variable: str = "x") -> "TaylorSeries":
-        return TaylorSeries(tuple(Fraction(1 if i == 0 else 0) for i in range(order)),
-                            variable)
+    def one(order: int) -> "TaylorSeries":
+        return TaylorSeries(tuple(Fraction(1 if i == 0 else 0) for i in range(order)))
 
     def __sub__(self, other: "TaylorSeries") -> "TaylorSeries":
         n = min(self.order, other.order)
-        return TaylorSeries(tuple(self.coeffs[i] - other.coeffs[i] for i in range(n)),
-                            self.variable)
+        return TaylorSeries(tuple(self.coeffs[i] - other.coeffs[i] for i in range(n)))
 
     def __mul__(self, other) -> "TaylorSeries":
         if isinstance(other, (int, Fraction)):
-            return TaylorSeries(tuple(c * other for c in self.coeffs), self.variable)
+            return TaylorSeries(tuple(c * other for c in self.coeffs))
         n = min(self.order, other.order)
         out = [Fraction(0)] * n
         for i, a in enumerate(self.coeffs[:n]):
@@ -94,7 +88,7 @@ class TaylorSeries(FrozenRecord):
                 for j, b in enumerate(other.coeffs[:n - i]):
                     if b:
                         out[i + j] += a * b
-        return TaylorSeries(tuple(out), self.variable)
+        return TaylorSeries(tuple(out))
 
     __rmul__ = __mul__
 
@@ -110,7 +104,7 @@ class TaylorSeries(FrozenRecord):
                 if other.coeffs[j]:
                     acc -= other.coeffs[j] * out[i - j]
             out[i] = acc * inv0
-        return TaylorSeries(tuple(out), self.variable)
+        return TaylorSeries(tuple(out))
 
     def coefficient(self, i: int) -> Fraction:
         if i >= self.order:
@@ -127,7 +121,7 @@ def cos_series(a: int, order: int) -> TaylorSeries:
     return TaylorSeries(tuple(out))
 
 
-def exp_series(rate: Fraction, order: int, variable: str = "t") -> TaylorSeries:
+def exp_series(rate: Fraction, order: int) -> TaylorSeries:
     """e^(rate * t) to the requested order."""
     rate = Fraction(rate)
     out = [Fraction(0)] * order
@@ -135,7 +129,7 @@ def exp_series(rate: Fraction, order: int, variable: str = "t") -> TaylorSeries:
     for i in range(order):
         out[i] = acc
         acc = acc * rate / (i + 1)
-    return TaylorSeries(tuple(out), variable)
+    return TaylorSeries(tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -228,22 +222,22 @@ def _t_expansion(spec, order: int) -> TaylorSeries:
     order, which it must do within 2 * order + 2 steps.  v may not fall from
     one step to the next: the sum would have a pole at q = 1."""
     total = [Fraction(spec.constant)] + [Fraction(0)] * (order - 1)
-    unit, v = TaylorSeries.one(order, "t"), 0
+    unit, v = TaylorSeries.one(order), 0
     for n in range(spec.start, spec.start + 2 * order + 2):
         last = v
-        unit = TaylorSeries(unit.coeffs[:order - v], "t")  # all that later terms read
+        unit = TaylorSeries(unit.coeffs[:order - v])  # all that later terms read
         for e, c, s in spec.factors(n):
             if c == 1 and e:
                 g = exp_series(Fraction(-e), order + 1).coeffs[1:]
-                factor, v = TaylorSeries(tuple(-x for x in g), "t"), v + s
+                factor, v = TaylorSeries(tuple(-x for x in g)), v + s
             else:
-                factor = TaylorSeries.one(order, "t") - exp_series(Fraction(-e), order) * c
+                factor = TaylorSeries.one(order) - exp_series(Fraction(-e), order) * c
             unit = unit * factor if s > 0 else unit.divide(factor)
         if v < last:
             raise DomainError(f"the t-valuation falls at step {n}: the sum has a pole "
                               "at q = 1")
         if v >= order:
-            return TaylorSeries(tuple(total), "t")
+            return TaylorSeries(tuple(total))
         term = exp_series(Fraction(-spec.lead(n)), order) * unit * spec.coeff(n)
         for i in range(order - v):
             total[v + i] += term.coeffs[i]

@@ -1,11 +1,16 @@
 """Exact truncated power series in one formal variable q^(1/D).
 
-A QSeries stores sparse coefficients keyed by the exponent numerator n (the
-exponent is n/D), a truncation T meaning every exponent numerator n < T is
-known, and the order K of the cyclotomic coefficient field (K = 1 keeps plain
-rationals).  Values are immutable; every operation returns a new series and
-propagates truncation pessimistically.  Negative exponents are rejected unless
-a series was built through the Laurent constructor.
+A QSeries is a power series: it stores sparse coefficients keyed by the
+exponent numerator n >= 0 (the exponent is n/D), a truncation T >= 0 meaning
+every exponent numerator n < T is known, and the order K of the cyclotomic
+coefficient field (K = 1 keeps plain rationals).  Values are immutable; every
+operation returns a new series and propagates truncation pessimistically.  A
+negative exponent raises DomainError wherever it would arise.
+
+The series forms of the catalog are declarative specs, each expanded by one
+engine here: ``ProductSum`` (a sum over a running product of linear
+factors), ``DoubleSum`` (a sum of groups of Gaussian binomials) and
+``ThetaSum`` (a one-variable theta series).
 """
 
 from __future__ import annotations
@@ -85,37 +90,31 @@ class QSeries(FrozenRecord):
     with ``first_mismatch``."""
 
     # coeffs: exponent numerator -> nonzero Coeff
-    __slots__ = ("denom", "trunc", "coeffs", "field_order", "laurent")
+    __slots__ = ("denom", "trunc", "coeffs", "field_order")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, denom: int, trunc: int, coeffs: dict, field_order: int = 1,
-                 laurent: bool = False):
+    def __init__(self, denom: int, trunc: int, coeffs: dict, field_order: int = 1):
         if denom < 1:
             raise DomainError("series denominator must be >= 1")
-        if trunc < 0 and not laurent:
+        if trunc < 0:
             raise DomainError(f"truncation must be nonnegative, got {trunc}")
         for n, c in coeffs.items():
             if n >= trunc:
                 raise DomainError(f"stored exponent {n} not below truncation {trunc}")
             if not c:
                 raise DomainError("canonical form forbids zero coefficients")
-            if n < 0 and not laurent:
-                raise DomainError("negative exponents need the Laurent constructor")
+            if n < 0:
+                raise DomainError(f"negative exponent {n}/{denom} in a power series")
         set_field(self, "denom", denom)
         set_field(self, "trunc", trunc)
         set_field(self, "coeffs", coeffs)
         set_field(self, "field_order", field_order)
-        set_field(self, "laurent", laurent)
 
     # -- constructors ---------------------------------------------------
     @staticmethod
     def make(denom: int, trunc: int, coeffs: dict, field_order: int = 1) -> "QSeries":
         return QSeries(denom, trunc, {n: c for n, c in coeffs.items() if c}, field_order)
-
-    @staticmethod
-    def laurent_series(denom: int, trunc: int, coeffs: dict, field_order: int = 1) -> "QSeries":
-        return QSeries(denom, trunc, {n: c for n, c in coeffs.items() if c}, field_order, True)
 
     @staticmethod
     def zero(denom: int = 1, trunc: int = 1) -> "QSeries":
@@ -136,7 +135,7 @@ class QSeries(FrozenRecord):
             raise DomainError("monomial denominator does not divide the series denominator")
         n = m.num * (d // m.den)
         coeffs = {n: m.coeff} if n < trunc and m.coeff else {}
-        return QSeries(d, trunc, coeffs, m.field_order(), n < 0)
+        return QSeries(d, trunc, coeffs, m.field_order())
 
     # -- views ------------------------------------------------------------
     def coefficient(self, exponent: Union[int, Fraction]) -> Coeff:
@@ -168,13 +167,13 @@ class QSeries(FrozenRecord):
             raise DomainError("can only rescale to a multiple of the current denominator")
         f = denom // self.denom
         return QSeries(denom, self.trunc * f, {n * f: c for n, c in self.coeffs.items()},
-                       self.field_order, self.laurent)
+                       self.field_order)
 
     def truncate(self, trunc: int) -> "QSeries":
         if trunc >= self.trunc:
             return self
         return QSeries(self.denom, trunc, {n: c for n, c in self.coeffs.items() if n < trunc},
-                       self.field_order, self.laurent)
+                       self.field_order)
 
     def _unify(self, other: "QSeries") -> tuple["QSeries", "QSeries", int]:
         k = _merge_field(self.field_order, other.field_order)
@@ -200,13 +199,13 @@ class QSeries(FrozenRecord):
                 out[n] = s
             else:
                 out.pop(n, None)
-        return QSeries(a.denom, a.trunc, out, k, a.laurent or b.laurent)
+        return QSeries(a.denom, a.trunc, out, k)
 
     __radd__ = __add__
 
     def __neg__(self):
         return QSeries(self.denom, self.trunc, {n: -c for n, c in self.coeffs.items()},
-                       self.field_order, self.laurent)
+                       self.field_order)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, CycloNumber)):
@@ -225,17 +224,13 @@ class QSeries(FrozenRecord):
             k = _merge_field(self.field_order,
                              other.order if isinstance(other, CycloNumber) else 1)
             return QSeries(self.denom, self.trunc,
-                           {n: c * other for n, c in self.coeffs.items()}, k, self.laurent)
+                           {n: c * other for n, c in self.coeffs.items()}, k)
         if isinstance(other, Monomial):
             return self.shift(other)
         if not isinstance(other, QSeries):
             return NotImplemented
         a, b, k = self._unify(other)
-        # for Laurent inputs the unknown tail of one factor reaches below
-        # T through the other factor's most negative exponent
-        la = min(a.coeffs, default=0)
-        lb = min(b.coeffs, default=0)
-        t = min(a.trunc + min(lb, 0), b.trunc + min(la, 0))
+        t = a.trunc
         out: dict = {}
         if len(a.coeffs) > len(b.coeffs):
             a, b = b, a
@@ -248,12 +243,13 @@ class QSeries(FrozenRecord):
                         out[n] = s
                     else:
                         out.pop(n, None)
-        return QSeries(a.denom, t, out, k, a.laurent or b.laurent)
+        return QSeries(a.denom, t, out, k)
 
     __rmul__ = __mul__
 
     def shift(self, m: Monomial) -> "QSeries":
-        """Multiply by a monomial; exact, so the knowledge horizon shifts too."""
+        """Multiply by a monomial; exact, so the knowledge horizon shifts too.
+        A negative exponent in the result raises DomainError."""
         d = math.lcm(self.denom, m.den)
         a = self.rescale(d)
         dn = m.num * (d // m.den)
@@ -263,8 +259,7 @@ class QSeries(FrozenRecord):
             v = c * m.coeff
             if v:
                 coeffs[n + dn] = v
-        return QSeries(d, a.trunc + dn, coeffs, k,
-                       a.laurent or min(coeffs, default=0) < 0)
+        return QSeries(d, a.trunc + dn, coeffs, k)
 
     # -- comparisons --------------------------------------------------------
     def first_mismatch(self, other: "QSeries") -> Optional[Fraction]:
@@ -451,15 +446,17 @@ class ProductSum(FrozenRecord):
 
 
 class DoubleSum(FrozenRecord):
-    """constant + sign * sum_(k>=n>=0) (-1)^n [k n]_(q^step) q^exponent(k, n).
+    """constant + sum_(k>=0) sum_((n, e, s) in terms(k)) s [k n]_(q^step) q^e.
 
-    ``kmin(k)`` bounds the exponents of the k-th group from below; the formal
-    sum stops at the first k with kmin(k) beyond the truncation.
+    ``terms(k)`` lists the k-th group as (n, e, s) triples with 0 <= n <= k
+    and e >= 0; ``kmin(k)`` bounds the exponents of the k-th group from below
+    and must not decrease, and the formal sum stops at the first k with
+    kmin(k) beyond the truncation.
     """
 
-    # kmin(k) -> int, exponent(k, n) -> int
-    __slots__ = ("kmin", "exponent", "step", "sign", "constant")
-    _defaults = {"step": 1, "sign": 1, "constant": 1}
+    # kmin(k) -> int, terms(k) -> [(n, e, s)]
+    __slots__ = ("kmin", "terms", "step", "constant")
+    _defaults = {"step": 1, "constant": 1}
 
     def series(self, trunc: int) -> QSeries:
         total = {0: self.constant} if self.constant and trunc > 0 else {}
@@ -467,11 +464,9 @@ class DoubleSum(FrozenRecord):
         row = next(rows)
         k = 0
         while self.kmin(k) < trunc:
-            for n in range(0, k + 1):
-                e0 = self.exponent(k, n)
+            for n, e0, sgn in self.terms(k):
                 if e0 >= trunc:
                     continue
-                sgn = -self.sign if n % 2 else self.sign
                 for e, c in row[n].items():
                     ee = e0 + e
                     if ee < trunc:
@@ -483,6 +478,32 @@ class DoubleSum(FrozenRecord):
             k += 1
             row = next(rows)
         return QSeries.make(1, trunc, total)
+
+
+class ThetaSum(FrozenRecord):
+    """sum_(n>=0) coeff(n) q^((n^2 + shift)/denom), coefficients in the
+    cyclotomic field of order ``field_order``.
+
+    ``series(T)`` knows the powers of q below T, in the variable q^(1/denom);
+    a nonzero coefficient at a negative exponent raises DomainError.
+    """
+
+    # coeff(n) -> Coeff
+    __slots__ = ("denom", "shift", "coeff", "field_order")
+    _defaults = {"field_order": 1}
+
+    def series(self, trunc: int) -> QSeries:
+        t = trunc * self.denom
+        coeffs: dict = {}
+        n = 0
+        while (e := n * n + self.shift) < t:
+            c = self.coeff(n)
+            if c:
+                if e < 0:
+                    raise DomainError(f"negative exponent at n={n} in a theta sum")
+                coeffs[e] = c
+            n += 1
+        return QSeries.make(self.denom, t, coeffs, self.field_order)
 
 
 def series_inverse(a: QSeries) -> QSeries:
@@ -552,26 +573,16 @@ def _binomial_row(n: int, trunc: int) -> list[dict]:
 
 
 def substitute_power(a: QSeries, k: Union[int, Fraction]) -> QSeries:
-    """q -> q^k with exact rescaling of the knowledge horizon.
-
-    Negative k is allowed only when the caller vouches the series is a
-    complete polynomial; the result is a Laurent polynomial whose truncation
-    claims knowledge just past its top exponent.
-    """
+    """q -> q^k for a positive rational k, with exact rescaling of the
+    knowledge horizon."""
     k = Fraction(k)
-    if k == 0:
-        raise DomainError("substitution power must be nonzero")
+    if k <= 0:
+        raise DomainError(f"substitution power must be positive, got {k}")
     d = a.denom * k.denominator
     new = {n * k.numerator: c for n, c in a.coeffs.items()}
-    if k < 0:
-        g = math.gcd(d, math.gcd(*[abs(n) for n in new]) if new else d)
-        t = max((n // g for n in new), default=0) + 1
-        return QSeries.laurent_series(d // g, t, {n // g: c for n, c in new.items()},
-                                      a.field_order)
     t = a.trunc * k.numerator
-    g = math.gcd(math.gcd(d, t), math.gcd(*[abs(n) for n in new]) if new else d * t)
-    return QSeries(d // g, t // g, {n // g: c for n, c in new.items()},
-                   a.field_order, a.laurent)
+    g = math.gcd(math.gcd(d, t), math.gcd(*new) if new else d * t)
+    return QSeries(d // g, t // g, {n // g: c for n, c in new.items()}, a.field_order)
 
 
 def substitute_sign(a: QSeries) -> QSeries:
@@ -579,14 +590,14 @@ def substitute_sign(a: QSeries) -> QSeries:
     d = a.denom
     if d == 1:
         return QSeries(1, a.trunc, {n: (c if n % 2 == 0 else -c) for n, c in a.coeffs.items()},
-                       a.field_order, a.laurent)
+                       a.field_order)
     k = _merge_field(a.field_order, 2 * d)
     out = {}
     for n, c in a.coeffs.items():
         v = CycloNumber.root_of_unity(2 * d, n % (2 * d)) * c
         if v:
             out[n] = v
-    return QSeries(d, a.trunc, out, k, a.laurent)
+    return QSeries(d, a.trunc, out, k)
 
 
 # ---------------------------------------------------------------------------
@@ -620,57 +631,51 @@ def selftest_euler(order: int, z: Optional[Monomial] = None) -> VerificationRepo
     return _report(f"euler_identity(order={order}, z=q^{z.exponent})", lhs, rhs, order)
 
 
-def _laurent_monomial(m: Monomial, trunc: int, denom: int) -> QSeries:
-    n = m.exponent.numerator * (denom // m.exponent.denominator)
-    if n >= trunc or not m.coeff:
-        return QSeries.laurent_series(denom, trunc, {})
-    return QSeries.laurent_series(denom, trunc, {n: m.coeff}, m.field_order())
+def _triple_product_rhs(z: Monomial, d: int, t: int) -> tuple[Monomial, QSeries]:
+    """(q, q^(1/2)/z, q^(1/2) z; q)_infinity as (clear, R), the product being
+    R / clear with R a power series: each factor 1 - c q^e with e < 0 is
+    -c q^e (1 - q^(-e)/c), and ``clear`` is the monomial that cancels the
+    -c q^e."""
+    half = Fraction(1, 2)
+    clear_coeff, clear_exp = 1, Fraction(0)
+    rhs = pochhammer(Monomial.q(1), 1, INFINITY, t, d)
+    for coeff, expo in ((coeff_pow(z.coeff, -1), half - z.exponent),
+                        (z.coeff, half + z.exponent)):
+        while expo < 0:
+            inv = coeff_pow(coeff, -1)
+            clear_coeff, clear_exp = -inv * clear_coeff, clear_exp - expo
+            rhs = rhs * pochhammer(Monomial.q(-expo, inv), 1, 1, t, d)
+            expo += 1
+        rhs = rhs * pochhammer(Monomial.q(expo, coeff), 1, INFINITY, t, d)
+    return Monomial.q(clear_exp, clear_coeff), rhs
 
 
-def _poch_allow_negative(z: Monomial, trunc: int, denom: int) -> QSeries:
-    """(z; q)_infinity tolerating finitely many negative-exponent factors."""
-    if z.exponent > 0 or not z.coeff:
-        return pochhammer(z, 1, INFINITY, trunc, denom)
-    out = QSeries.laurent_series(denom, trunc, {0: 1})
-    expo, coeff = z.exponent, z.coeff
-    while expo <= 0:
-        out = out * (QSeries.laurent_series(denom, trunc, {0: 1})
-                     - _laurent_monomial(Monomial.q(expo, coeff), trunc, denom))
-        expo += 1
-    return out * pochhammer(Monomial.q(expo, coeff), 1, INFINITY, trunc, denom)
+def _triple_product_lhs(z: Monomial, d: int, t: int, clear: Monomial) -> QSeries:
+    """clear * sum_k (-1)^k q^(k^2/2) z^k, summed over every k whose term lies
+    below the truncation."""
+    def lead(k: int) -> Fraction:
+        return Fraction(k * k, 2) + k * z.exponent
+
+    k0 = math.floor(Fraction(1, 2) - z.exponent)  # lead is least at k0, rising on both sides
+    coeffs: dict = {}
+    for direction in (1, -1):
+        k = k0 if direction > 0 else k0 - 1
+        while (e := lead(k) + clear.exponent) < Fraction(t, d):
+            c = clear.coeff * coeff_pow(z.coeff, k) * (-1) ** (k % 2)
+            n = e.numerator * (d // e.denominator)
+            coeffs[n] = coeffs.get(n, 0) + c
+            k += direction
+    return QSeries.make(d, t, coeffs)
 
 
 def selftest_triple_product(z: Monomial, order: int) -> VerificationReport:
-    """sum_k (-1)^k q^(k^2/2) z^k == (q, q^(1/2)/z, q^(1/2) z; q)_infinity."""
-    e = z.exponent
+    """sum_k (-1)^k q^(k^2/2) z^k == (q, q^(1/2)/z, q^(1/2) z; q)_infinity,
+    both sides times the monomial that clears the factors of negative
+    exponent, so that each is a power series."""
     d, t = math.lcm(2, z.den), order
-    horizon = Fraction(t, d)
-
-    def lead(k: int) -> Fraction:
-        return Fraction(k * k, 2) + k * e
-
-    ks = [0]
-    k = 1
-    while lead(k) < horizon:
-        ks.append(k)
-        k += 1
-    k = -1
-    while lead(k) < horizon:
-        ks.append(k)
-        k -= 1
-    lhs = QSeries.laurent_series(d, t, {})
-    for k in ks:
-        c = coeff_pow(z.coeff, k)
-        lhs = lhs + _laurent_monomial(Monomial.q(lead(k), c if k % 2 == 0 else -c), t, d)
-    half = Fraction(1, 2)
-    inv_z = Monomial.q(half - e, coeff_pow(z.coeff, -1))
-    pos_z = Monomial.q(half + e, z.coeff)
-    if inv_z.exponent <= 0 and pos_z.exponent <= 0:
-        raise DomainError("triple product factors are unbounded below for this monomial")
-    rhs = pochhammer(Monomial.q(1), 1, INFINITY, t, d)
-    rhs = rhs * _poch_allow_negative(inv_z, t, d)
-    rhs = rhs * _poch_allow_negative(pos_z, t, d)
-    return _report(f"triple_product(order={order}, z-exponent={e})", lhs, rhs, order)
+    clear, rhs = _triple_product_rhs(z, d, t)
+    lhs = _triple_product_lhs(z, d, t, clear)
+    return _report(f"triple_product(order={order}, z-exponent={z.exponent})", lhs, rhs, order)
 
 
 def selftest_q_binomial_theorem(n: int, z: Monomial) -> VerificationReport:

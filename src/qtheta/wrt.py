@@ -218,16 +218,6 @@ class WRTResult(Record):
         self.value = value
         self.note = note
 
-    def value_text(self) -> str:
-        if isinstance(self.value, CycloNumber):
-            return self.value.text()
-        return mpmath.nstr(self.value, 17)
-
-    def value_complex(self, precision_bits: int = 128) -> complex:
-        if isinstance(self.value, CycloNumber):
-            return complex(self.value.to_complex(precision_bits))
-        return complex(self.value)
-
 
 def _assemble_rhs(thm: SeifertTheorem, n_val: int, method: str) -> Value:
     """Right side of the theorem with function values from the given route

@@ -19,7 +19,7 @@ from qtheta.cyclo import CycloNumber
 from qtheta.errors import (DivergenceError, DomainError, QThetaError, UnknownIdError,
                            UnsupportedMethodError)
 from qtheta.identities import get_identity, verify_fine_andrews_specializations
-from qtheta.series import Monomial, ProductSum, pochhammer_inverse
+from qtheta.series import DoubleSum, Monomial, ProductSum, ThetaSum, pochhammer_inverse
 
 
 def brute_chi0(trunc):
@@ -83,6 +83,17 @@ def test_all_variants_agree_small():
         base = catalog.expand(fid, t, names[0])
         for other in names[1:]:
             assert base.agrees_with(catalog.expand(fid, t, other)), (fid, other)
+
+
+def test_variants_are_specs():
+    for fid in catalog.function_ids():
+        for name, spec in catalog.get_function(fid).variants.items():
+            assert isinstance(spec, (ProductSum, DoubleSum, ThetaSum)), (fid, name)
+
+
+def test_x10_star_double_sum_is_its_series():
+    assert catalog.expand("X10_star", 150, "double_sum").agrees_with(
+        catalog.expand("X10_star", 150, "defining"))
 
 
 def test_phase_carrying_field_order():
@@ -170,6 +181,40 @@ def test_le_sum_carries_factor_two():
         raw = catalog.variant_at_root("chi0_star", "le_sum", n, 1)
         assert radial == 2 * raw
         assert value_at_root("chi0_star", n, 1, "qseries") == radial
+
+
+def test_qseries_route_falls_back_to_the_double_sum(monkeypatch):
+    # X10_star's defining sum does not collapse at q = -1 or at zeta_8^3
+    for m, j in ((2, 1), (8, 3)):
+        with pytest.raises(DivergenceError):
+            catalog.variant_at_root("X10_star", "defining", m, j)
+        assert value_at_root("X10_star", m, j, "qseries") == \
+            catalog.variant_at_root("X10_star", "double_sum", m, j) == \
+            value_at_root("X10_star", m, j, "eichler")
+    calls = []
+
+    def diverging(fn_id, variant, m, j):
+        calls.append((fn_id, variant))
+        raise DivergenceError("no value")
+
+    monkeypatch.setattr(catalog, "variant_at_root", diverging)
+    for fid in ("X10_star", "F0_star", "phi6_star"):
+        with pytest.raises(DivergenceError):
+            value_at_root(fid, 7, 1, "qseries")
+    # no retry where the qseries variant is the double sum, or there is none
+    assert calls == [("X10_star", "defining"), ("X10_star", "double_sum"),
+                     ("F0_star", "double_sum"), ("phi6_star", "defining")]
+
+
+def test_collapse_decides_a_unit_ratio_exactly(monkeypatch):
+    # at M = 5 the window product of chi3's fine form is 1 - zeta_6, of
+    # modulus exactly 1: no embedding may decide that the ratio fails to contract
+    def embedded(*args):
+        raise AssertionError("embedded a window product")
+
+    monkeypatch.setattr(CycloNumber, "to_complex", embedded)
+    with pytest.raises(DivergenceError):
+        catalog.variant_at_root("chi3", "fine_form", 5, 1)
 
 
 def test_surgery_routes_match_radial():

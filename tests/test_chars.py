@@ -9,12 +9,13 @@ from qtheta.catalog import get_function
 from qtheta.chars import (PeriodicFunction, _radial_classes, _radial_level_sum,
                           char_combination, character_ids,
                           eichler_tilde_at_integer, eichler_tilde_at_inverse_N,
-                          eichler_tilde_series, false_theta_radial_limit,
+                          false_theta_radial_limit,
                           false_theta_radial_numeric, get_character, m_matrix,
                           psi_basis, theorem_s_matrix, theta_numeric,
                           verify_S_transform, verify_T_transform)
 from qtheta.cyclo import CycloNumber
 from qtheta.errors import DomainError, PrecisionError
+from qtheta.series import ThetaSum
 
 
 def test_psi_basis_values():
@@ -61,7 +62,8 @@ def test_registry_contents():
 def test_eichler_series_examples():
     # oracle: direct summation with plain loops
     chi = get_character("chi60_111")
-    got = eichler_tilde_series(chi, 120, -1, 40 * 120)
+    got = ThetaSum(120, -1, chi).series(40)
+    assert got.denom == 120 and got.trunc == 40 * 120
     oracle = {}
     for n in range(0, 120):
         c = chi(n)
@@ -71,15 +73,15 @@ def test_eichler_series_examples():
     as_q_powers = sorted((n // 120, c) for n, c in got.coeffs.items())
     assert as_q_powers[:8] == [(0, 1), (1, 1), (3, 1), (7, 1), (8, -1), (14, -1),
                                (20, -1), (29, -1)]
-    psi41 = eichler_tilde_series(get_character("psi4_1"), 4, -1, 60)
+    psi41 = ThetaSum(4, -1, get_character("psi4_1")).series(15)
     assert psi41.coeffs == {0: 1, 8: -1, 24: 1, 48: -1}  # 1 - q^2 + q^6 - q^12
-    zero = eichler_tilde_series(char_combination([]), 4, 0, 40)
+    zero = ThetaSum(4, 0, char_combination([])).series(10)
     assert zero.is_zero()
 
 
 def test_eichler_series_negative_exponent_rejected():
     with pytest.raises(DomainError):
-        eichler_tilde_series(get_character("psi4_1"), 4, -2, 40)
+        ThetaSum(4, -2, get_character("psi4_1")).series(10)
 
 
 def test_closed_form_at_integer():

@@ -8,7 +8,7 @@ import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qtheta.cyclo import (CycloNumber, cyclotomic_polynomial, euler_phi,
+from qtheta.cyclo import (CycloNumber, _lazy_module, cyclotomic_polynomial, euler_phi,
                           root_weighted_sum)
 
 
@@ -174,3 +174,8 @@ def test_mpmath_conversion_hook(dps):
         assert x - z == embedded - z
         assert z - x == z - embedded
         assert abs(x - x.to_complex(400)) < mpmath.mpf(10) ** (5 - dps)
+
+
+def test_lazy_module_of_a_missing_module():
+    with pytest.raises(ModuleNotFoundError):
+        _lazy_module("qtheta_no_such_module")

@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from qtheta.cyclo import CycloNumber
 from qtheta.errors import DivergenceError, DomainError, FieldMismatchError
-from qtheta.series import (INFINITY, Monomial, QSeries, pochhammer,
-                           pochhammer_inverse, q_binomial, selftest_eta_cubed,
-                           selftest_euler, selftest_q_binomial_theorem,
-                           selftest_triple_product, series_inverse,
-                           substitute_power, substitute_sign)
+from qtheta.series import (INFINITY, Monomial, QSeries, _triple_product_lhs,
+                           _triple_product_rhs, pochhammer, pochhammer_inverse,
+                           q_binomial, selftest_eta_cubed, selftest_euler,
+                           selftest_q_binomial_theorem, selftest_triple_product,
+                           series_inverse, substitute_power, substitute_sign)
 
 
 def brute_product(factors, trunc):
@@ -69,11 +69,20 @@ def test_field_mismatch_rejected():
         _ = a + b
 
 
-def test_negative_exponents_need_laurent():
+def test_negative_exponents_rejected():
     with pytest.raises(DomainError):
         QSeries.make(1, 5, {-1: 1})
-    laurent = QSeries.laurent_series(1, 5, {-1: 1})
-    assert laurent.coeffs == {-1: 1}
+    with pytest.raises(DomainError):
+        QSeries.from_monomial(Monomial.q(-1), 5)
+    a = QSeries.make(1, 5, {0: 1, 2: 1})
+    with pytest.raises(DomainError):
+        a.shift(Monomial.q(-1))
+    for k in (0, -1, Fraction(-1, 2)):
+        with pytest.raises(DomainError):
+            substitute_power(a, k)
+    # a shift that keeps every exponent nonnegative stays exact
+    got = QSeries.make(1, 5, {2: 3}).shift(Monomial.q(-1))
+    assert got.coeffs == {1: 3} and got.trunc == 4
 
 
 def test_pochhammer_direct():
@@ -151,9 +160,6 @@ def test_substitute_power():
     h = QSeries.make(2, 20, {0: 1, 1: 1})
     out = substitute_power(h, 2)
     assert out.denom == 1 and out.coeffs == {0: 1, 1: 1}
-    # negative powers only for complete polynomials; result is Laurent
-    back = substitute_power(a, -1)
-    assert back.coeffs == {0: 1, -1: 1} and back.laurent
 
 
 def test_substitute_sign():
@@ -187,6 +193,24 @@ def test_selftests_pass():
     assert selftest_q_binomial_theorem(2, Monomial.q(1)).passed
     assert selftest_q_binomial_theorem(5, Monomial.q(3)).passed
     assert selftest_eta_cubed(200).passed
+
+
+@pytest.mark.parametrize("z", [Monomial.q(2), Monomial.q(Fraction(3, 2)), Monomial(-1, 3, 1),
+                               Monomial(2, 1, 1)], ids=["q^2", "q^(3/2)", "-q^3", "2q"])
+def test_triple_product_factors_of_negative_exponent(z):
+    # each of these z puts factors 1 - c q^e with e < 0 on the product side
+    assert selftest_triple_product(z, 100).passed
+
+
+def test_triple_product_wrong_coefficient_fails():
+    d, t = 2, 60
+    for right, wrong in ((Monomial(2, 1, 1), Monomial(3, 1, 1)),
+                         (Monomial(3, 1, 1), Monomial(2, 1, 1))):
+        clear, rhs = _triple_product_rhs(right, d, t)
+        assert _triple_product_lhs(right, d, t, clear).agrees_with(rhs)
+        assert not _triple_product_lhs(wrong, d, t, clear).agrees_with(rhs)
+        wrong_clear, wrong_rhs = _triple_product_rhs(wrong, d, t)
+        assert not _triple_product_lhs(right, d, t, wrong_clear).agrees_with(wrong_rhs)
 
 
 def test_euler_n2_example():

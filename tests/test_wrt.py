@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from qtheta import chars
+from qtheta import chars, cli
 from qtheta.cyclo import CycloNumber
 from qtheta.errors import DegenerateCaseError, DomainError, UnsupportedMethodError
 from qtheta.wrt import (SQRT2, SQRT3, Prefactor, cross_verify, degenerate_probe,
@@ -186,5 +186,5 @@ def test_cross_verify_numeric_gate_works_below_double_precision(monkeypatch):
 
 def test_result_formatting():
     res = wrt_invariant("sigma_2_3_5", 3)
-    assert res.value_text().startswith("M=")
-    assert abs(res.value_complex() - 1) < 1e-20
+    shown = cli._format_value(res.value, 128)
+    assert shown == {"cyclotomic": "M=3; [1, 0]", "complex": "(1.0 + 0.0j)"}
