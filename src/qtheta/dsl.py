@@ -16,9 +16,11 @@ Grammar (LL(1), whitespace-insensitive)::
               | IDENT "(" expr ")"        (catalogued function at a monomial)
     RATIONAL := NUMBER ("/" NUMBER)?
 
-Sums are truncation-driven: an infinite sum stops once the term's leading
-exponent reaches the truncation, with a stall detector (no progress of the
-leading exponent for 4*T*D iterations) reporting divergence.  ``==`` may
+Sums are truncation-driven: an infinite sum stops once the lower bound that
+the monomial structure of its body gives puts the current term and the next
+4*T + 64 beyond the truncation T.  A sum that has not stopped after 4*T*D + 64
+terms (D the exponent denominator of the running total) is reported as
+divergent, even when it converges in a way that bound cannot see.  ``==`` may
 appear only at top level and turns evaluation into a verification report.
 """
 
@@ -399,6 +401,8 @@ def _evalnum(node, env: dict) -> Fraction:
         expo = _evalnum(node.exponent, env)
         if expo.denominator != 1:
             raise DomainError("numeric powers need integer exponents")
+        if not base and expo < 0:
+            raise DomainError("division by zero")
         return base ** expo.numerator
     if isinstance(node, Q):
         raise DomainError("the formal variable q cannot appear in this position")
@@ -549,8 +553,8 @@ def eval_series(node, env: dict, trunc: int) -> QSeries:
 
 
 def _structurally_done(node: Sum, inner: dict, k: int, trunc: int) -> bool:
-    """True when the monomial-structure bound puts the current term and every
-    term within the stall cap beyond the truncation; guards against sums whose
+    """True when the monomial-structure bound puts the current term and the
+    next 4*T + 64 beyond the truncation; the window guards against sums whose
     exponents are not monotone in the index."""
     probe = dict(inner)
     horizon = 4 * trunc + 64
@@ -567,33 +571,13 @@ def _eval_sum(node: Sum, env: dict, trunc: int) -> QSeries:
     total = QSeries.zero(1, trunc)
     inner = dict(env)
     k = lo
-    prev_lead: Optional[Fraction] = None
-    stall = 0
-    iterations = 0
-    while True:
-        if hi is not None and k > hi:
-            break
+    while hi is None or k <= hi:
         inner[node.var] = Fraction(k)
         if hi is None and _structurally_done(node, inner, k, trunc):
             break  # every further term provably lies beyond the truncation
-        term = eval_series(node.body, inner, trunc)
-        lead = term.leading_exponent()
-        total = total + term
-        if hi is None:
-            cap = 4 * trunc * max(total.denom, term.denom) + 64
-            if lead is None or (prev_lead is not None and lead <= prev_lead):
-                stall += 1
-                if stall > cap:
-                    raise DivergenceError(
-                        "sum shows no leading-exponent progress; divergent "
-                        f"after {stall} stalled iterations")
-            else:
-                stall = 0
-            if lead is not None:
-                prev_lead = lead
-            iterations += 1
-            if iterations > cap:
-                raise DivergenceError(f"sum exceeded the iteration cap {cap}")
+        total = total + eval_series(node.body, inner, trunc)
+        if hi is None and k - lo >= (cap := 4 * trunc * total.denom + 64):
+            raise DivergenceError(f"sum exceeded the iteration cap {cap}")
         k += 1
     return total
 

@@ -9,6 +9,10 @@ registered q-series specs of chi0*, chi1*, phi* and nu*, expanded at
 q = e^(-t) by one engine), the asymptotic expansion of the half-integrated
 theta sums at 1/N, and quadrature checks for the lower-half-plane integral
 representation.
+
+A Taylor series in t (or x) is a ``series.QSeries`` with denominator 1, the
+formal variable standing for t, and division goes through
+``series.series_inverse``.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ from . import chars
 from .chars import PeriodicFunction, m_matrix, psi_basis, theta_numeric
 from .cyclo import mpmath
 from .errors import DomainError, PrecisionError, UnknownIdError
-from .report import FrozenRecord, Record, VerificationReport
+from .report import Record, VerificationReport
+from .series import Monomial, QSeries, series_inverse
 
 
 # ---------------------------------------------------------------------------
@@ -58,78 +63,24 @@ def bernoulli_at(k: int, x: Fraction) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Taylor series with exact rational coefficients
+# Taylor series in t
 # ---------------------------------------------------------------------------
 
-class TaylorSeries(FrozenRecord):
-    """Dense truncated series sum c_i x^i, exact rationals, known for i < order."""
-
-    __slots__ = ("coeffs",)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs)
-
-    @staticmethod
-    def one(order: int) -> "TaylorSeries":
-        return TaylorSeries(tuple(Fraction(1 if i == 0 else 0) for i in range(order)))
-
-    def __sub__(self, other: "TaylorSeries") -> "TaylorSeries":
-        n = min(self.order, other.order)
-        return TaylorSeries(tuple(self.coeffs[i] - other.coeffs[i] for i in range(n)))
-
-    def __mul__(self, other) -> "TaylorSeries":
-        if isinstance(other, (int, Fraction)):
-            return TaylorSeries(tuple(c * other for c in self.coeffs))
-        n = min(self.order, other.order)
-        out = [Fraction(0)] * n
-        for i, a in enumerate(self.coeffs[:n]):
-            if a:
-                for j, b in enumerate(other.coeffs[:n - i]):
-                    if b:
-                        out[i + j] += a * b
-        return TaylorSeries(tuple(out))
-
-    __rmul__ = __mul__
-
-    def divide(self, other: "TaylorSeries") -> "TaylorSeries":
-        if not other.coeffs or other.coeffs[0] == 0:
-            raise DomainError("Taylor division needs a unit constant term")
-        n = min(self.order, other.order)
-        inv0 = Fraction(1) / other.coeffs[0]
-        out = [Fraction(0)] * n
-        for i in range(n):
-            acc = self.coeffs[i]
-            for j in range(1, i + 1):
-                if other.coeffs[j]:
-                    acc -= other.coeffs[j] * out[i - j]
-            out[i] = acc * inv0
-        return TaylorSeries(tuple(out))
-
-    def coefficient(self, i: int) -> Fraction:
-        if i >= self.order:
-            raise DomainError(f"coefficient {i} beyond truncation {self.order}")
-        return self.coeffs[i]
+def cos_series(a: int, order: int) -> QSeries:
+    """cos(a t) to t^(order-1)."""
+    return QSeries.make(1, order, {2 * j: Fraction((-1) ** j * a ** (2 * j),
+                                                   math.factorial(2 * j))
+                                   for j in range((order + 1) // 2)})
 
 
-def cos_series(a: int, order: int) -> TaylorSeries:
-    out = [Fraction(0)] * order
-    j = 0
-    while 2 * j < order:
-        out[2 * j] = Fraction((-1) ** j * a ** (2 * j), math.factorial(2 * j))
-        j += 1
-    return TaylorSeries(tuple(out))
-
-
-def exp_series(rate: Fraction, order: int) -> TaylorSeries:
-    """e^(rate * t) to the requested order."""
+def exp_series(rate: Fraction, order: int) -> QSeries:
+    """e^(rate * t) to t^(order-1)."""
     rate = Fraction(rate)
-    out = [Fraction(0)] * order
-    acc = Fraction(1)
+    out, acc = {}, Fraction(1)
     for i in range(order):
         out[i] = acc
         acc = acc * rate / (i + 1)
-    return TaylorSeries(tuple(out))
+    return QSeries.make(1, order, out)
 
 
 # ---------------------------------------------------------------------------
@@ -146,17 +97,17 @@ _COS_SPECS = {
 }
 
 
-def cos_ratio_taylor(spec_id: str, order: int) -> TaylorSeries:
-    """Exact Taylor expansion of the registered cosine ratio."""
+def cos_ratio_taylor(spec_id: str, order: int) -> QSeries:
+    """Exact Taylor expansion of the registered cosine ratio, to x^(order-1)."""
     try:
         scale, nums, den, _ = _COS_SPECS[spec_id]
     except KeyError:
         raise UnknownIdError(f"no cosine-ratio generating function for {spec_id!r}; "
                              f"known: {', '.join(sorted(_COS_SPECS))}") from None
-    acc = TaylorSeries.one(order) * Fraction(scale)
+    acc = series_inverse(cos_series(den, order)) * scale
     for a in nums:
         acc = acc * cos_series(a, order)
-    return acc.divide(cos_series(den, order))
+    return acc
 
 
 def l_value(chi, k: int, method: str = "bernoulli") -> Fraction:
@@ -213,7 +164,7 @@ _T_SERIES = {"t_chi60_111": "chi0_star", "t_chi60_112": "chi1_star",
              "t_chi24_1": "phi_star", "t_chi24_2": "nu_star"}
 
 
-def _t_expansion(spec, order: int) -> TaylorSeries:
+def _t_expansion(spec, order: int) -> QSeries:
     """A ``ProductSum`` at q = e^(-t), exactly, to t^(order-1).
 
     The running product is kept as t^v * U with U a unit: a factor 1 - q^e,
@@ -221,26 +172,25 @@ def _t_expansion(spec, order: int) -> TaylorSeries:
     of valuation v >= order adds nothing, so the sum ends when v reaches the
     order, which it must do within 2 * order + 2 steps.  v may not fall from
     one step to the next: the sum would have a pole at q = 1."""
-    total = [Fraction(spec.constant)] + [Fraction(0)] * (order - 1)
-    unit, v = TaylorSeries.one(order), 0
+    total = QSeries.make(1, order, {0: Fraction(spec.constant)})
+    unit, v = QSeries.one(1, order), 0
     for n in range(spec.start, spec.start + 2 * order + 2):
         last = v
-        unit = TaylorSeries(unit.coeffs[:order - v])  # all that later terms read
+        unit = unit.truncate(order - v)  # all that later terms read
         for e, c, s in spec.factors(n):
             if c == 1 and e:
-                g = exp_series(Fraction(-e), order + 1).coeffs[1:]
-                factor, v = TaylorSeries(tuple(-x for x in g)), v + s
+                factor = (1 - exp_series(-e, order + 1)).shift(Monomial.q(-1))
+                v += s
             else:
-                factor = TaylorSeries.one(order) - exp_series(Fraction(-e), order) * c
-            unit = unit * factor if s > 0 else unit.divide(factor)
+                factor = 1 - exp_series(-e, order) * c
+            unit = unit * (factor if s > 0 else series_inverse(factor))
         if v < last:
             raise DomainError(f"the t-valuation falls at step {n}: the sum has a pole "
                               "at q = 1")
         if v >= order:
-            return TaylorSeries(tuple(total))
-        term = exp_series(Fraction(-spec.lead(n)), order) * unit * spec.coeff(n)
-        for i in range(order - v):
-            total[v + i] += term.coeffs[i]
+            return total
+        term = exp_series(-spec.lead(n), order) * unit * spec.coeff(n)
+        total = total + term.shift(Monomial.q(v))
     raise DomainError("the t-valuation rises too slowly: no t-expansion at q = 1")
 
 
@@ -264,10 +214,10 @@ def verify_t_series(spec_id: str, order: int = 10) -> VerificationReport:
     for i in range(k):
         rhs = l_value(chi_id, i, "bernoulli") * Fraction(-1, denom) ** i \
             / (scale * math.factorial(i))
-        if lhs.coeffs[i] != rhs:
+        if lhs.coefficient(i) != rhs:
             return VerificationReport(id=spec_id, status="fail", truncation=order,
                                       first_mismatch=Fraction(i),
-                                      detail=f"t^{i}: {lhs.coeffs[i]} != {rhs}")
+                                      detail=f"t^{i}: {lhs.coefficient(i)} != {rhs}")
     return VerificationReport(id=spec_id, status="pass", truncation=order)
 
 

@@ -146,11 +146,6 @@ class QSeries(FrozenRecord):
             return 0
         return self.coeffs.get(e.numerator * (self.denom // e.denominator), 0)
 
-    def leading_exponent(self) -> Optional[Fraction]:
-        if not self.coeffs:
-            return None
-        return Fraction(min(self.coeffs), self.denom)
-
     @property
     def order_q(self) -> Fraction:
         """Knowledge horizon in powers of q."""
@@ -672,6 +667,8 @@ def selftest_triple_product(z: Monomial, order: int) -> VerificationReport:
     """sum_k (-1)^k q^(k^2/2) z^k == (q, q^(1/2)/z, q^(1/2) z; q)_infinity,
     both sides times the monomial that clears the factors of negative
     exponent, so that each is a power series."""
+    if not z.coeff:
+        raise DomainError("the triple product needs a nonzero z")
     d, t = math.lcm(2, z.den), order
     clear, rhs = _triple_product_rhs(z, d, t)
     lhs = _triple_product_lhs(z, d, t, clear)

@@ -89,6 +89,13 @@ def test_dsl_exit_codes():
     assert code == 1
 
 
+def test_dsl_division_by_zero_exits_two():
+    # a zero base under a negative exponent is a usage error, not a traceback
+    for text in ("q^(0^(-1))", "poch(q; 0^(-1); 2)"):
+        code, out, err = run_cli("dsl", text)
+        assert code == 2 and out == "" and err.startswith("error: division by zero")
+
+
 def test_lvalue():
     code, out, _ = run_cli("lvalue", "chi60_111", "1", "--method", "cos_generating")
     assert code == 0 and out.strip() == "-238"

@@ -73,6 +73,55 @@ def test_syntax_error_diagnostics():
 def test_divergent_sum_detected():
     with pytest.raises(DivergenceError):
         eval_dsl("sum(n=0..inf, q^0 + q^n)", 10)
+    # an infinite sum the monomial bound cannot end is divergent after
+    # 4*T*D + 64 terms, even where it converges: here T = 5 and D = 1
+    for text in ("sum(n=0..inf, q^0 + q^n)", "sum(n=1..inf, poch(q^n;1;1) - 1)"):
+        with pytest.raises(DivergenceError, match="iteration cap 84$"):
+            eval_dsl(text, 5)
+
+
+#: (expression, its value's text() at T = 5 or the error class it raises)
+EVALUATION_TABLE = [
+    # numeric positions
+    ("q^(3-1)", "D=1; T=5; K=1; 2:1"),
+    ("q^((1+2)/2)", "D=2; T=10; K=1; 3:1"),
+    ("q^((1+1)/(1-1))", DomainError),
+    ("q^(-(1-3))", "D=1; T=5; K=1; 2:1"),
+    ("q^(2^2)", "D=1; T=5; K=1; 4:1"),
+    ("q^(2^(1/2))", DomainError),
+    ("q^(0^(-1))", DomainError),
+    ("poch(q; 0^(-1); 2)", DomainError),
+    ("q^q", DomainError),
+    ("q^(poch(q;1;1))", DomainError),
+    # monomial positions
+    ("poch(2*q;1;1)", "D=1; T=5; K=1; 0:1 1:-2"),
+    ("poch((2*q)^2;1;1)", "D=1; T=5; K=1; 0:1 2:-4"),
+    ("poch(2^(-1);1;1)", DomainError),
+    ("poch(1+q;1;1)", DomainError),
+    ("sum(n=2..3, poch(n;1;1))", "D=1; T=5; K=1; 0:-3"),
+    # series
+    ("q/2", "D=1; T=5; K=1; 1:1/2"),
+    ("q/0", DomainError),
+    ("-q", "D=1; T=5; K=1; 1:-1"),
+    ("sum(n=1..2, n)", "D=1; T=5; K=1; 0:3"),
+    ("(1+q)^2", "D=1; T=5; K=1; 0:1 1:2 2:1"),
+    ("(1+q)^(-1)", DomainError),
+    ("q^(-1)", DomainError),
+    (dsl.Add(dsl.Eq(dsl.Q(), dsl.Q()), dsl.Num(Fraction(1))), DomainError),
+    ("chi0(2*q)", DomainError),
+    ("chi0(1)", DomainError),
+    ("poch(q;1;inf)", "D=1; T=5; K=1; 0:1 1:-1 2:-1"),
+    ("poch(q;1;-1)", DomainError),
+]
+
+
+@pytest.mark.parametrize("node, expected", EVALUATION_TABLE)
+def test_evaluation_table(node, expected):
+    if isinstance(expected, str):
+        assert eval_dsl(node, 5).text() == expected
+    else:
+        with pytest.raises(expected):
+            eval_dsl(node, 5)
 
 
 def test_eq_only_top_level():

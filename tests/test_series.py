@@ -202,6 +202,11 @@ def test_triple_product_factors_of_negative_exponent(z):
     assert selftest_triple_product(z, 100).passed
 
 
+def test_triple_product_rejects_zero_z():
+    with pytest.raises(DomainError, match="nonzero z"):
+        selftest_triple_product(Monomial(0, 1, 1), 10)
+
+
 def test_triple_product_wrong_coefficient_fails():
     d, t = 2, 60
     for right, wrong in ((Monomial(2, 1, 1), Monomial(3, 1, 1)),
