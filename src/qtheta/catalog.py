@@ -40,7 +40,8 @@ from typing import Callable, Optional
 
 from . import chars
 from .chars import false_theta_radial_limit, false_theta_radial_numeric
-from .cyclo import CycloNumber, _context, ring_is_zero, ring_value
+from .cyclo import (CycloNumber, _add_mono, _context, _rot, _times_linear, ring_is_zero,
+                    ring_value, unit_power)
 from .errors import (DivergenceError, DomainError, UnknownIdError,
                      UnsupportedMethodError)
 from .report import FrozenRecord, Record, VerificationReport
@@ -360,16 +361,11 @@ def _unit(c) -> tuple[int, int, int, int]:
     if not isinstance(c, CycloNumber):
         if c in (1, -1):
             return int(c), 0, 1, 1
-    elif c.den == 1:
-        ctx = _context(c.order)
-        neg = tuple(-x for x in c.num)
-        for k in range(c.order):
-            pw = ctx.power(k)
-            if pw == c.num or pw == neg:
-                s = 1 if pw == c.num else -1
-                if 2 * k % c.order == 0:  # c = +-1
-                    return (s if k == 0 else -s), 0, 1, 1
-                return s, k, c.order, c.order
+    elif (unit := unit_power(c)) is not None:
+        s, k = unit
+        if 2 * k % c.order == 0:  # c = +-1
+            return (s if k == 0 else -s), 0, 1, 1
+        return s, k, c.order, c.order
     raise UnsupportedMethodError(f"root engines need constants +-zeta^k, got {c!r}")
 
 
@@ -404,24 +400,6 @@ class _Ring:
 
     def unit_vector(self) -> list[int]:
         return [1] + [0] * (self.size - 1)
-
-
-def _rot(v: list[int], a: int) -> list[int]:
-    """v x^a."""
-    a %= len(v)
-    return v[-a:] + v[:-a] if a else v
-
-
-def _add_mono(v: list[int], w: list[int], c: int, a: int) -> list[int]:
-    """v + c w x^a for an integer c."""
-    if c == 1 or c == -1:
-        return list(map(add if c > 0 else sub, v, _rot(w, a)))
-    return [x + c * y for x, y in zip(v, _rot(w, a))]
-
-
-def _times_linear(v: list[int], s: int, a: int) -> list[int]:
-    """v (1 - s x^a)."""
-    return _add_mono(v, v, -s, a)
 
 
 def _terminating_product_sum(m: int, j: int, spec: ProductSum,

@@ -7,11 +7,13 @@ integers, gcd(coords, den) == 1, den > 0.
 
 Heavy sums are not run on CycloNumbers.  They run on integer vectors of the
 group ring Z[x]/(x^R - 1), read at x = zeta_R: a product with zeta^e is a
-rotation of the vector, and nothing is reduced on the way.  ``ring_value``
-reduces such a vector modulo Phi once and returns the canonical number;
-``ring_is_zero`` is the exact zero test.  ``root_weighted_sum`` and
-``promote`` go through the same reduction.  The engines that sum series at
-roots of unity this way live in ``catalog``.
+rotation of the vector (``_rot``, ``_add_mono``, ``_times_linear``), and
+nothing is reduced on the way.  ``ring_terms`` writes a number as such a
+vector, ``ring_value`` reduces one modulo Phi once and returns the canonical
+number, and ``ring_is_zero`` is the exact zero test.  ``root_weighted_sum``
+and ``promote`` go through the same reduction.  The engines that sum series
+at roots of unity this way live in ``catalog``; the formal running products
+of ``series`` keep one such vector per power of q.
 
 A product is an integer convolution reduced modulo Phi (``_Context.product``).
 An inverse uses the same kernel: the product of the Galois conjugates of the
@@ -25,7 +27,8 @@ import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from operator import add, sub
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import DomainError
 from .report import FrozenRecord, set_field
@@ -382,6 +385,56 @@ class CycloNumber(FrozenRecord):
 
     def __repr__(self):
         return f"CycloNumber({self.text()})"
+
+
+@lru_cache(maxsize=None)
+def _signed_powers(order: int) -> dict:
+    """Coordinates of +-zeta_order^k -> (s, k), the least k for each."""
+    ctx = _context(order)
+    out: dict = {}
+    for k in range(order):
+        pw = ctx.power(k)
+        out.setdefault(pw, (1, k))
+        out.setdefault(tuple(-c for c in pw), (-1, k))
+    return out
+
+
+def unit_power(c: CycloNumber) -> Optional[tuple[int, int]]:
+    """(s, k) with c = s zeta_M^k, s = +-1 and M = c.order, the least such k;
+    None when c is not a signed root of unity."""
+    return _signed_powers(c.order).get(c.num) if c.den == 1 else None
+
+
+def ring_terms(c, size: int) -> list[tuple[int, Union[int, Fraction]]]:
+    """c, a rational or a number of a field whose order divides ``size``, as
+    the sum of w x^a over the returned pairs (a, w): an element of
+    Q[x]/(x^size - 1) that reads as c at x = zeta_size.  A signed root of
+    unity is one pair, and zero is none."""
+    if not isinstance(c, CycloNumber):
+        return [(0, c)] if c else []
+    step = size // c.order
+    unit = unit_power(c)
+    if unit is not None:
+        return [(unit[1] * step, unit[0])]
+    return [(i * step, x if c.den == 1 else Fraction(x, c.den)) for i, x in enumerate(c.num) if x]
+
+
+def _rot(v: list, a: int) -> list:
+    """v x^a."""
+    a %= len(v)
+    return v[-a:] + v[:-a] if a else v
+
+
+def _add_mono(v: list, w: list, c, a: int) -> list:
+    """v + c w x^a for a rational c; with a = 0, the entrywise v + c w."""
+    if c == 1 or c == -1:
+        return list(map(add if c > 0 else sub, v, _rot(w, a)))
+    return [x + c * y for x, y in zip(v, _rot(w, a))]
+
+
+def _times_linear(v: list, s: int, a: int) -> list:
+    """v (1 - s x^a)."""
+    return _add_mono(v, v, -s, a)
 
 
 def ring_value(vec: Sequence[int], order: int, den: int = 1) -> CycloNumber:

@@ -10,7 +10,22 @@ negative exponent raises DomainError wherever it would arise.
 The series forms of the catalog are declarative specs, each expanded by one
 engine here: ``ProductSum`` (a sum over a running product of linear
 factors), ``DoubleSum`` (a sum of groups of Gaussian binomials) and
-``ThetaSum`` (a one-variable theta series).
+``ThetaSum`` (a one-variable theta series).  No engine multiplies
+CycloNumbers coefficient by coefficient:
+
+* a running product (``ProductSum``, ``pochhammer``, ``pochhammer_inverse``)
+  over Q is a dense list of rationals, changed in place by one linear factor
+  at a time; once a constant carries a root of unity it is a residue-major
+  vector of the group ring Z[x]/(x^R - 1), R the lcm of the constants' field
+  orders, on which a factor 1 - s zeta^a q^e is a rotation and a shift, and
+  each output coefficient is reduced once by ``cyclo.ring_value``;
+* a ``DoubleSum`` packs each Gaussian binomial below q^T into one integer,
+  w bits a coefficient (Kronecker substitution), so a row step is a shift, a
+  mask and an add, and sums its groups into two packed accumulators, one
+  per sign of the weights, unpacked once.  Nothing carries between slots:
+  [k n] has nonnegative coefficients that sum to C(k, n), so no slot of a
+  row exceeds C(k, n), no slot of an accumulator exceeds the sum of
+  C(k, n) |s| over the terms it takes, and w is wider than both.
 """
 
 from __future__ import annotations
@@ -19,7 +34,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from .cyclo import CycloNumber
+from .cyclo import CycloNumber, _add_mono, _rot, ring_terms, ring_value
 from .errors import DivergenceError, DomainError, FieldMismatchError
 from .report import FrozenRecord, VerificationReport, set_field
 
@@ -306,8 +321,8 @@ def _poch_denominator(z: Monomial, b: Monomial, denom: Optional[int]) -> int:
 
 
 def mul_linear(a: list, e: int, c: Coeff = 1) -> None:
-    """a <- a * (1 - c q^e) in place, for a dense coefficient list truncated
-    at len(a)."""
+    """a <- a * (1 - c q^e) in place, for a dense list of rationals truncated
+    at len(a) and a rational c."""
     if e == 0:
         unit = 1 - c
         a[:] = [x * unit for x in a]
@@ -324,7 +339,7 @@ def div_linear(a: list, e: int, c: Coeff = 1) -> None:
         unit = 1 - c
         if not unit:
             raise ZeroDivisionError("factor (1 - 1) is not invertible")
-        inv = unit.inv() if isinstance(unit, CycloNumber) else Fraction(1) / Fraction(unit)
+        inv = Fraction(1) / Fraction(unit)
         a[:] = [x * inv for x in a]
         return
     for i in range(e, len(a)):
@@ -337,9 +352,97 @@ def _dense_one(trunc: int) -> list:
     return [1] + [0] * (trunc - 1) if trunc > 0 else []
 
 
+# A running product over Q(zeta_R) is kept residue-major: a list of R rows,
+# row r the dense q-coefficient list of x^r in the group ring Z[x]/(x^R - 1),
+# read at x = zeta_R, and None for a row that is zero.  A factor 1 - c q^e
+# with c = s zeta_R^a is then a shift in q and a rotation of the rows, and a
+# general constant is a sum of such terms (``cyclo.ring_terms``).  R is the
+# lcm of the field orders of the constants seen so far; at R = 1 the one row
+# holds rationals and the scalar kernels above act on it.  Each coefficient
+# is reduced once, when it is read out (``_read``).
+
+def _widen(rows: list, order: int) -> list:
+    """rows re-embedded in a group ring whose order ``order`` divides."""
+    if len(rows) % order == 0:
+        return rows
+    out = [None] * math.lcm(len(rows), order)
+    out[::len(out) // len(rows)] = rows
+    return out
+
+
+def _accumulate(total: list, lead: int, run: list, c: Coeff) -> None:
+    """total <- total + c q^lead run, in place; ``run`` is no longer than
+    ``total`` minus ``lead``, and total[0] is a row."""
+    if len(run) == 1 and not isinstance(c, CycloNumber):
+        row = total[0]
+        for i, x in enumerate(run[0]):
+            if x:
+                row[lead + i] += c * x
+        return
+    for a, w in ring_terms(c, len(run)):
+        for r, src in enumerate(_rot(run, a)):
+            if src is not None:
+                row = total[r] = total[r] or [0] * len(total[0])
+                row[lead:lead + len(src)] = _add_mono(row[lead:lead + len(src)], src, w, 0)
+
+
+def _times_factor(run: list, length: int, e: int, c: Coeff, s: int) -> None:
+    """run <- run (1 - c q^e)^s in place, s = +-1, for rows of ``length``."""
+    if len(run) == 1 and not isinstance(c, CycloNumber):
+        (mul_linear if s > 0 else div_linear)(run[0], e, c)
+        return
+    if e == 0:
+        unit = 1 - c
+        if s < 0:
+            if not unit:
+                raise ZeroDivisionError("factor (1 - 1) is not invertible")
+            unit = unit.inv() if isinstance(unit, CycloNumber) else Fraction(1) / Fraction(unit)
+        old = list(run)
+        run[:] = [[0] * length] + [None] * (len(run) - 1)
+        _accumulate(run, 0, old, unit)
+        return
+    if e >= length:
+        return
+    if s > 0:
+        _accumulate(run, e, [row and row[:length - e] for row in run], -c)
+        return
+    terms = ring_terms(c, len(run))
+    # run / (1 - c q^e): block b of the rows, the powers of q in [b e, b e + e),
+    # gains the rows' block b - 1 times c
+    live = {r for r, row in enumerate(run) if row is not None}
+    while grown := {(r + a) % len(run) for r in live for a, _ in terms} - live:
+        live |= grown
+    for r in live:
+        run[r] = run[r] or [0] * length
+    sources = [(r, [((r - a) % len(run), w) for a, w in terms if (r - a) % len(run) in live])
+               for r in sorted(live)]
+    for start in range(e, length, e):
+        stop = min(start + e, length)
+        for r, terms_r in sources:
+            block = run[r][start:stop]
+            for src, w in terms_r:
+                block = _add_mono(block, run[src][start - e:stop - e], w, 0)
+            run[r][start:stop] = block
+
+
+def _read(rows: list, trunc: int) -> dict:
+    """The coefficients of residue-major rows of length ``trunc``, each
+    reduced once into the field of order len(rows)."""
+    if len(rows) == 1:
+        return dict(enumerate(rows[0]))
+    zero = [0] * trunc
+    out = {}
+    for i, vec in enumerate(zip(*(row or zero for row in rows))):
+        if any(vec):
+            den = math.lcm(*(x.denominator for x in vec))
+            out[i] = ring_value([x.numerator * (den // x.denominator) for x in vec],
+                                len(rows), den)
+    return out
+
+
 def _pochhammer_dense(z: Monomial, step, n, trunc: int, denom: Optional[int],
                       inverse: bool) -> QSeries:
-    """(z; b)_n, or its inverse, applied factor by factor to a dense list."""
+    """(z; b)_n, or its inverse, applied factor by factor to dense rows."""
     b = _step_monomial(step)
     d = _poch_denominator(z, b, denom)
     horizon = Fraction(trunc, d)
@@ -347,8 +450,7 @@ def _pochhammer_dense(z: Monomial, step, n, trunc: int, denom: Optional[int],
         return QSeries.one(d, trunc)
     if n is INFINITY and b.exponent <= 0 and z.exponent < horizon:
         raise DivergenceError("nonterminating infinite product: factor exponents do not grow")
-    out = _dense_one(trunc)
-    field = 1
+    out = [_dense_one(trunc)]
     cap = ITERATION_CAP_FACTOR * trunc * d + 16
     coeff, expo, k = z.coeff, z.exponent, 0
     while n is INFINITY or k < n:
@@ -360,19 +462,16 @@ def _pochhammer_dense(z: Monomial, step, n, trunc: int, denom: Optional[int],
             continue
         if expo < 0:
             raise DomainError("pochhammer factor with negative exponent")
-        field = _merge_field(field, _field_of(coeff))
+        out = _widen(out, _field_of(coeff))
         e = expo.numerator * (d // expo.denominator)
-        if inverse:
-            div_linear(out, e, coeff)
-        else:
-            mul_linear(out, e, coeff)
-            if n is INFINITY and not any(out):
-                break
+        _times_factor(out, trunc, e, coeff, -1 if inverse else 1)
+        if n is INFINITY and not inverse and not any(row and any(row) for row in out):
+            break
         coeff, expo, k = coeff * b.coeff, expo + b.exponent, k + 1
         if k > cap:
             name = "pochhammer_inverse" if inverse else "pochhammer"
             raise DivergenceError(f"{name} exceeded its iteration cap")
-    return QSeries.make(d, trunc, dict(enumerate(out)), field)
+    return QSeries.make(d, trunc, _read(out, trunc), len(out))
 
 
 def pochhammer(z: Monomial, step, n, trunc: int, denom: Optional[int] = None) -> QSeries:
@@ -406,7 +505,9 @@ class ProductSum(FrozenRecord):
     (e, c, s) in ``factors(n)``, s = +1 for a numerator factor and -1 for a
     denominator factor.  The formal sum stops at the first n whose lead
     reaches the truncation, so lead(n) must be nonnegative and must not
-    decrease.
+    decrease; ``series`` raises DomainError where it does.  The series is
+    over the field of the constants: a constant of order 3 and one of order
+    4 give coefficients in Q(zeta_12).
     """
 
     __slots__ = ("lead", "factors", "coeff", "start", "constant")
@@ -420,33 +521,59 @@ class ProductSum(FrozenRecord):
         set_field(self, "constant", constant)
 
     def series(self, trunc: int) -> QSeries:
-        total = [0] * max(trunc, 0)
-        field = _field_of(self.constant)
+        k = _field_of(self.constant)
+        total, run = _widen([[0] * max(trunc, 0)], k), _widen([_dense_one(trunc)], k)
         if self.constant and trunc > 0:
-            total[0] = self.constant
-        run = _dense_one(trunc)
-        n = self.start
+            _accumulate(total, 0, _widen([[1]], k), self.constant)
+        n, last = self.start, 0
         while (lead := self.lead(n)) < trunc:
-            del run[trunc - lead:]  # later terms start no lower than this one
+            if lead < last:
+                raise DomainError(f"lead({n}) = {lead} is "
+                                  + ("negative" if lead < 0 else f"below lead({n - 1}) = {last}"))
+            last, length = lead, trunc - lead
+            for row in run:
+                if row is not None:
+                    del row[length:]  # later terms start no lower than this one
             for e, c, s in self.factors(n):
-                field = _merge_field(field, _field_of(c))
-                (mul_linear if s > 0 else div_linear)(run, e, c)
+                if isinstance(c, CycloNumber):
+                    run, total = _widen(run, c.order), _widen(total, c.order)
+                _times_factor(run, length, e, c, s)
             c = self.coeff(n)
-            field = _merge_field(field, _field_of(c))
-            for i, x in enumerate(run):
-                if x:
-                    total[lead + i] += c * x
+            if isinstance(c, CycloNumber):
+                run, total = _widen(run, c.order), _widen(total, c.order)
+            _accumulate(total, lead, run, c)
             n += 1
-        return QSeries.make(1, trunc, dict(enumerate(total)), field)
+        return QSeries.make(1, trunc, _read(total, trunc), len(total))
+
+
+def _binomial_width(groups: list, top: int) -> int:
+    """A slot width, in whole bytes, that no packed sum of ``DoubleSum.series``
+    can carry out of.  Every [k n] has nonnegative coefficients that sum to
+    C(k, n), so no slot of a row entry [k j], j <= top <= K/2 for the last
+    k = K, exceeds C(K, top), and no slot of either accumulator exceeds the
+    sum of C(k, n) |s| over the terms it takes."""
+    kmax = len(groups) - 1
+    bound = math.comb(kmax, top)
+    for sign in (1, -1):
+        bound = max(bound, sum(math.comb(k, n) * s * sign for k, group in enumerate(groups)
+                               for n, _, s in group if s * sign > 0))
+    return 8 * -(-bound.bit_length() // 8)
+
+
+def _unpack(x: int, width: int, count: int) -> list[int]:
+    """The ``count`` slots of ``width`` bits, a multiple of 8, of x >= 0."""
+    nb = width // 8
+    buf = x.to_bytes(nb * count, "little")
+    return [int.from_bytes(buf[i:i + nb], "little") for i in range(0, nb * count, nb)]
 
 
 class DoubleSum(FrozenRecord):
     """constant + sum_(k>=0) sum_((n, e, s) in terms(k)) s [k n]_(q^step) q^e.
 
-    ``terms(k)`` lists the k-th group as (n, e, s) triples with 0 <= n <= k
-    and e >= 0; ``kmin(k)`` bounds the exponents of the k-th group from below
-    and must not decrease, and the formal sum stops at the first k with
-    kmin(k) beyond the truncation.
+    ``terms(k)`` lists the k-th group as (n, e, s) triples with 0 <= n <= k,
+    e >= 0 and an integer weight s; ``kmin(k)`` bounds the exponents of the
+    k-th group from below and must not decrease, and the formal sum stops at
+    the first k with kmin(k) beyond the truncation.
     """
 
     # kmin(k) -> int, terms(k) -> [(n, e, s)]
@@ -454,24 +581,37 @@ class DoubleSum(FrozenRecord):
     _defaults = {"step": 1, "constant": 1}
 
     def series(self, trunc: int) -> QSeries:
+        groups = []  # the terms below the truncation, [k n] written as [k min(n, k - n)]
+        while self.kmin(k := len(groups)) < trunc:
+            group = [(min(n, k - n), e, s) for n, e, s in self.terms(k) if e < trunc]
+            if any(n < 0 or not isinstance(s, int) for n, _, s in group):
+                raise DomainError(f"double sum group {k} needs 0 <= n <= k and integer weights")
+            groups.append(group)
         total = {0: self.constant} if self.constant and trunc > 0 else {}
-        rows = q_binomial_rows(trunc, self.step)
-        row = next(rows)
-        k = 0
-        while self.kmin(k) < trunc:
-            for n, e0, sgn in self.terms(k):
-                if e0 >= trunc:
-                    continue
-                for e, c in row[n].items():
-                    ee = e0 + e
-                    if ee < trunc:
-                        s = total.get(ee, 0) + sgn * c
-                        if s:
-                            total[ee] = s
-                        else:
-                            total.pop(ee, None)
-            k += 1
-            row = next(rows)
+        if not groups:
+            return QSeries.make(1, trunc, total)
+        # Kronecker packing: a polynomial of q below the truncation is one
+        # integer, coefficient i in bits [i w, i w + w); a shift multiplies by
+        # a power of q and the mask truncates.  The rows keep [k j] for j up
+        # to the largest index a term takes, all that the recurrence needs.
+        top = max((n for group in groups for n, _, _ in group), default=0)
+        w = _binomial_width(groups, top)
+        mask = (1 << w * trunc) - 1
+        pos = neg = 0
+        row = [1]  # [k j]_(q^step) for j <= min(k, top)
+        for k, group in enumerate(groups):
+            if k:  # [k j] = [k-1 j-1] + q^(step j) [k-1 j]
+                row = [1] + [row[j - 1] + ((row[j] << w * self.step * j) & mask) if j < k else 1
+                             for j in range(1, min(k, top) + 1)]
+            for n, e, s in group:
+                v = (row[n] << w * e) & mask
+                if s > 0:
+                    pos += s * v
+                elif s < 0:
+                    neg -= s * v
+        for i, (p, m) in enumerate(zip(_unpack(pos, w, trunc), _unpack(neg, w, trunc))):
+            if p != m:
+                total[i] = total.get(i, 0) + p - m
         return QSeries.make(1, trunc, total)
 
 
@@ -523,48 +663,19 @@ def series_inverse(a: QSeries) -> QSeries:
 
 
 def q_binomial(n: int, m: int, trunc: Optional[int] = None) -> QSeries:
-    """Gaussian binomial coefficient [n m]_q as an exact polynomial."""
+    """Gaussian binomial coefficient [n m]_q as an exact polynomial: with
+    k = min(m, n - m), the product of (1 - q^(n-k+i)) / (1 - q^i) over
+    i = 1..k, skipping the factors that are 1 below the truncation."""
     if m < 0 or m > n:
         raise DomainError(f"q_binomial needs 0 <= m <= n, got ({n}, {m})")
-    degree = m * (n - m)
-    t = trunc if trunc is not None else degree + 1
-    row = _binomial_row(n, t)
-    return QSeries.make(1, t, row[m])
-
-
-def q_binomial_rows(trunc: int, step: int = 1):
-    """Yield rows of Gaussian binomials as raw dicts, truncated: row k maps m
-    to the coefficient dict of [k m] in the base q^step."""
-    row = [{0: 1}]
-    while True:
-        yield row
-        row = _next_binomial_row(row, trunc, step)
-
-
-def _next_binomial_row(row: list[dict], trunc: int, step: int = 1) -> list[dict]:
-    k = len(row)
-    new = [dict(row[0])]
-    for j in range(1, k):
-        merged = dict(row[j - 1])
-        for e, c in row[j].items():
-            ee = e + step * j
-            if ee < trunc:
-                s = merged.get(ee, 0) + c
-                if s:
-                    merged[ee] = s
-                else:
-                    merged.pop(ee, None)
-        new.append(merged)
-    new.append({0: 1})
-    return new
-
-
-def _binomial_row(n: int, trunc: int) -> list[dict]:
-    gen = q_binomial_rows(trunc)
-    row = next(gen)
-    for _ in range(n):
-        row = next(gen)
-    return row
+    k = min(m, n - m)
+    t = trunc if trunc is not None else m * (n - m) + 1
+    out = _dense_one(t)
+    for i in range(1, min(k, t - 1 - (n - k)) + 1):
+        mul_linear(out, n - k + i)
+    for i in range(1, min(k, t - 1) + 1):
+        div_linear(out, i)
+    return QSeries.make(1, t, dict(enumerate(out)))
 
 
 def substitute_power(a: QSeries, k: Union[int, Fraction]) -> QSeries:

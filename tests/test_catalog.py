@@ -19,7 +19,8 @@ from qtheta.cyclo import CycloNumber
 from qtheta.errors import (DivergenceError, DomainError, QThetaError, UnknownIdError,
                            UnsupportedMethodError)
 from qtheta.identities import get_identity, verify_fine_andrews_specializations
-from qtheta.series import DoubleSum, Monomial, ProductSum, ThetaSum, pochhammer_inverse
+from qtheta.series import (DoubleSum, Monomial, ProductSum, ThetaSum, pochhammer_inverse,
+                           q_binomial)
 
 
 def brute_chi0(trunc):
@@ -313,6 +314,29 @@ def test_root_values_match_golden():
             for method in ("eichler_limit", "terminating_qseries", "surgery_series"):
                 got[f"wrt_invariant|{manifold}|{n}|{method}"] = _digest(
                     lambda: wrt.wrt_invariant(manifold, n, method).value)
+    assert sorted(got) == sorted(golden)
+    assert [k for k in golden if got[k] != golden[k]] == []
+
+
+def _expansion_digests() -> dict:
+    got = {}
+    for fid in catalog.function_ids():
+        for variant in sorted(catalog.get_function(fid).variants):
+            for t in (0, 1, 7, 60, 200):
+                got[f"expand|{fid}|{variant}|{t}"] = _digest(
+                    lambda: catalog.expand(fid, t, variant))
+    for n in range(25):
+        for m in range(n + 1):
+            got[f"q_binomial|{n}|{m}"] = _digest(lambda: q_binomial(n, m))
+    return got
+
+
+def test_expansions_match_golden():
+    """Every catalog variant at T = 0, 1, 7, 60 and 200, and every Gaussian
+    binomial [n m] with n <= 24, prints as recorded (the digest of
+    ``test_root_values_match_golden``)."""
+    golden = json.loads((Path(__file__).parent / "data" / "expansions.json").read_text())
+    got = _expansion_digests()
     assert sorted(got) == sorted(golden)
     assert [k for k in golden if got[k] != golden[k]] == []
 

@@ -1,5 +1,6 @@
 """The exact truncated series engine and the classical self-tests."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from qtheta.cyclo import CycloNumber
 from qtheta.errors import DivergenceError, DomainError, FieldMismatchError
-from qtheta.series import (INFINITY, Monomial, QSeries, _triple_product_lhs,
-                           _triple_product_rhs, pochhammer, pochhammer_inverse,
+from qtheta.series import (INFINITY, DoubleSum, Monomial, ProductSum, QSeries,
+                           _triple_product_lhs, _triple_product_rhs, pochhammer,
+                           pochhammer_inverse,
                            q_binomial, selftest_eta_cubed, selftest_euler,
                            selftest_q_binomial_theorem, selftest_triple_product,
                            series_inverse, substitute_power, substitute_sign)
@@ -258,3 +260,187 @@ def test_associativity_and_distributivity(a, b, c):
     assert ((a + b) + c).agrees_with(a + (b + c))
     assert ((a * b) * c).agrees_with(a * (b * c))
     assert (a * (b + c)).agrees_with(a * b + a * c)
+
+
+# -- the running-product and binomial kernels against the algorithms they replaced
+
+def _ref_mul_linear(a, e, c):
+    """a <- a (1 - c q^e) on a dense list of rationals or CycloNumbers."""
+    if e == 0:
+        a[:] = [x * (1 - c) for x in a]
+        return
+    for i in range(len(a) - 1, e - 1, -1):
+        if a[i - e]:
+            a[i] = a[i] - c * a[i - e]
+
+
+def _ref_div_linear(a, e, c):
+    """a <- a / (1 - c q^e), coefficient by coefficient."""
+    if e == 0:
+        unit = 1 - c
+        inv = unit.inv() if isinstance(unit, CycloNumber) else Fraction(1) / Fraction(unit)
+        a[:] = [x * inv for x in a]
+        return
+    for i in range(e, len(a)):
+        if a[i - e]:
+            a[i] = a[i] + c * a[i - e]
+
+
+def _order(c):
+    return c.order if isinstance(c, CycloNumber) else 1
+
+
+def _ref_product_sum(spec, trunc):
+    """The dense-list product sum, CycloNumber by CycloNumber; its field is
+    the lcm of the constants' orders."""
+    total = [0] * trunc
+    field = _order(spec.constant)
+    total[0] = spec.constant
+    run = [1] + [0] * (trunc - 1)
+    n = spec.start
+    while (lead := spec.lead(n)) < trunc:
+        del run[trunc - lead:]
+        for e, c, s in spec.factors(n):
+            field = math.lcm(field, _order(c))
+            (_ref_mul_linear if s > 0 else _ref_div_linear)(run, e, c)
+        c = spec.coeff(n)
+        field = math.lcm(field, _order(c))
+        for i, x in enumerate(run):
+            total[lead + i] += c * x
+        n += 1
+    return QSeries.make(1, trunc, dict(enumerate(total)), field)
+
+
+def _ref_pochhammer_inverse(z, step, count, trunc):
+    """1/(z; step)_count for a monomial step of positive exponent, factor by
+    factor on a dense list of CycloNumbers."""
+    d = math.lcm(z.den, step.den)
+    out = [1] + [0] * (trunc - 1)
+    field, coeff, expo = 1, z.coeff, z.exponent
+    for _ in range(count):
+        if expo * d >= trunc:
+            break
+        field = math.lcm(field, _order(coeff))
+        _ref_div_linear(out, int(expo * d), coeff)
+        coeff, expo = coeff * step.coeff, expo + step.exponent
+    return QSeries.make(d, trunc, dict(enumerate(out)), field)
+
+
+def _ref_binomial_rows(trunc, step=1):
+    """Rows of Gaussian binomials in the base q^step as dicts: row k maps m to
+    the coefficients of [k m] below q^trunc."""
+    row = [{0: 1}]
+    while True:
+        yield row
+        new = [dict(row[0])]
+        for j in range(1, len(row)):
+            merged = dict(row[j - 1])
+            for e, c in row[j].items():
+                if e + step * j < trunc:
+                    merged[e + step * j] = merged.get(e + step * j, 0) + c
+            new.append({e: c for e, c in merged.items() if c})
+        row = new + [{0: 1}]
+
+
+def _ref_double_sum(spec, trunc):
+    total = {0: spec.constant}
+    rows = _ref_binomial_rows(trunc, spec.step)
+    k, row = 0, next(rows)
+    while spec.kmin(k) < trunc:
+        for n, e0, sgn in spec.terms(k):
+            for e, c in row[n].items():
+                if e0 + e < trunc:
+                    total[e0 + e] = total.get(e0 + e, 0) + sgn * c
+        k, row = k + 1, next(rows)
+    return QSeries.make(1, trunc, total)
+
+
+def zeta(m, k=1):
+    return CycloNumber.root_of_unity(m, k)
+
+
+HALF_ONE_PLUS_Z12 = (1 + zeta(12)) * Fraction(1, 2)
+
+
+@pytest.mark.parametrize("spec", [
+    # a non-unit constant with a denominator, in a denominator and a numerator factor
+    ProductSum(lambda n: n, lambda n: [(n + 1, HALF_ONE_PLUS_Z12, -1), (2 * n + 1, zeta(12, 5), 1)],
+               lambda n: zeta(12, n), constant=zeta(12, 2)),
+    # a Fraction coefficient beside cyclotomic factors
+    ProductSum(lambda n: n * (n + 1) // 2, lambda n: [(n + 1, -zeta(12, 4), -1)],
+               lambda n: Fraction(2, 3) if n % 2 else Fraction(-5, 4), constant=Fraction(1, 7)),
+    # constants of orders 3 and 4 together
+    ProductSum(lambda n: n, lambda n: [(n, zeta(3), -1), (n + 2, zeta(4), 1)] if n else [],
+               lambda n: n + 1),
+    # factors with e = 0: a constant (1 - zeta_6) and its inverse
+    ProductSum(lambda n: 2 * n,
+               lambda n: [(0, zeta(12, 2), 1 if n % 3 else -1), (n + 1, zeta(12), -1)]),
+], ids=["non-unit", "fraction", "orders-3-4", "e-zero"])
+def test_cyclotomic_product_sum_matches_reference(spec):
+    for t in (1, 7, 80):
+        got, want = spec.series(t), _ref_product_sum(spec, t)
+        assert got.field_order == want.field_order and got.text() == want.text(), t
+
+
+def test_cyclotomic_pochhammer_matches_reference():
+    z, step = Monomial(HALF_ONE_PLUS_Z12, 1, 2), Monomial(-zeta(12, 5), 1, 1)
+    for t in (1, 9, 70):
+        got = pochhammer_inverse(z, step, 12, t)
+        assert got.text() == _ref_pochhammer_inverse(z, step, 12, t).text()
+        assert (got * pochhammer(z, step, 12, t)).agrees_with(QSeries.one(2, t))
+
+
+@pytest.mark.parametrize("spec, truncations", [
+    # weights +-3, step 2 and a Fraction constant: every [k n] with k <= 42
+    (DoubleSum(lambda k: k * (k - 1) // 6,
+               lambda k: [(n, k * (k - 1) // 6 + n, 3 if (k + n) % 2 else -3)
+                          for n in range(k + 1)],
+               step=2, constant=Fraction(-5, 7)), (1, 40, 300)),
+    # only [k 0] = [k k] = 1, 60 groups to a power of q: a slot of the
+    # accumulator sums to 360, beyond the 8 bits that the rows need
+    (DoubleSum(lambda k: k // 60, lambda k: [(0, k // 60, 3), (k, k // 60, 3)],
+               step=2, constant=Fraction(1, 3)), (1, 5)),
+], ids=["weights", "accumulator"])
+def test_double_sum_matches_reference_rows(spec, truncations):
+    for t in truncations:
+        assert spec.series(t).text() == _ref_double_sum(spec, t).text(), t
+
+
+def test_double_sum_rejects_terms_out_of_range():
+    for n, s in ((3, 1), (-1, 1), (1, Fraction(1, 2))):
+        spec = DoubleSum(lambda k: k, lambda k: [(n, k, s)] if k == 2 else [(0, k, 1)])
+        with pytest.raises(DomainError, match="group 2"):
+            spec.series(5)
+
+
+def test_q_binomial_matches_reference_rows():
+    rows = _ref_binomial_rows(15 * 15 + 1)
+    for n in range(31):
+        row = next(rows)
+        for m in range(n + 1):
+            for t in (m * (n - m) + 1, 1, 5, 40):
+                want = {e: c for e, c in row[m].items() if e < t}
+                assert q_binomial(n, m, t).coeffs == want, (n, m, t)
+            assert q_binomial(n, m).trunc == m * (n - m) + 1
+
+
+def test_q_binomial_large_top_at_low_order():
+    # only the factors 1/(1 - q^i), i < 10, are not 1 below q^10
+    got = q_binomial(10 ** 5, 5 * 10 ** 4, 10)
+    assert [got.coefficient(i) for i in range(10)] == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]
+
+
+def test_product_sum_rejects_a_negative_lead():
+    with pytest.raises(DomainError):
+        ProductSum(lambda n: 3 - n, lambda n: []).series(5)
+    with pytest.raises(DomainError, match="negative"):
+        ProductSum(lambda n: n - 1, lambda n: []).series(5)
+
+
+def test_product_sum_rejects_a_decreasing_lead():
+    # leads 0, 3, 1 with a factor 1/(1 - q) at each step: the sum is
+    # 1 2 4 8 13 below q^5, which a stop at lead 3 would miss
+    spec = ProductSum(lambda n: (0, 3, 1)[n] if n < 3 else 5, lambda n: [(1, 1, -1)])
+    with pytest.raises(DomainError, match="below"):
+        spec.series(5)
+    assert spec.series(3).coeffs == {0: 1, 1: 1, 2: 1}
